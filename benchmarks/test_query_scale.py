@@ -6,7 +6,8 @@ seconds".  This benchmark builds a 10M-row synthetic ``.aptrc`` archive
 have) and measures rows/sec through three evaluation paths:
 
 * **row-walk** — the pre-vectorization baseline: per-byte Python varint
-  decode, trace materialization (``load_run``), Python row-walk eval;
+  decode and per-row trace materialization (``load_run``), then
+  in-memory evaluation of the (merged, far smaller) trace;
   measured on a 1/8-scale slice of the same data and reported as
   rows/sec (the full 10M rows would need GBs of dict overhead, which is
   itself part of why this path had to go),
@@ -33,7 +34,7 @@ import time
 
 import numpy as np
 
-from repro.core.query import run_query
+from repro.core.query import query_trace
 from repro.core.store import codec
 from repro.core.store.archive import Archive, load_run
 from repro.core.store.writer import ArchiveWriter
@@ -77,8 +78,8 @@ def build_archive(path, n_rows=N_ROWS, n_chunks=N_CHUNKS):
 def timed_query(path, query, pushdown):
     with Archive(path) as archive:
         t0 = time.perf_counter()
-        result = run_query(archive.section("logical"), query,
-                           pushdown=pushdown)
+        result = query_trace(archive.section("logical"), query,
+                             pushdown=pushdown)
         elapsed = time.perf_counter() - t0
         decoded = set(archive.decoded_columns)
     return result, elapsed, decoded
@@ -86,13 +87,13 @@ def timed_query(path, query, pushdown):
 
 def row_walk_baseline(path, query):
     """The pre-vectorization pipeline: scalar varint decode feeding
-    ``load_run``'s per-row trace reconstruction, then dict-walk eval."""
+    ``load_run``'s per-row trace reconstruction, then in-memory eval."""
     real = codec.decode_uvarints
     codec.decode_uvarints = codec.decode_uvarints_scalar
     try:
         t0 = time.perf_counter()
         traces = load_run(path)
-        result = run_query(traces.logical, query)
+        result = query_trace(traces.logical, query)
         elapsed = time.perf_counter() - t0
     finally:
         codec.decode_uvarints = real
@@ -140,8 +141,8 @@ def test_query_scale_10m_rows(tmp_path, outdir):
     with Archive(path) as archive:
         section = archive.section("logical")
         t0 = time.perf_counter()
-        total_sends = run_query(section, "sends")
-        total_bytes = run_query(section, "bytes")
+        total_sends = query_trace(section, "sends")
+        total_bytes = query_trace(section, "bytes")
         t_sums = time.perf_counter() - t0
         assert archive.decoded_columns == set(), archive.decoded_columns
     per_chunk_sizes = np.resize(

@@ -18,10 +18,10 @@ Run with::
 import json
 import time
 
+import repro.api as api
 from repro.check import HistogramWorkload
 from repro.exec import ResultCache
 from repro.machine.spec import MachineSpec
-from repro.whatif import run_whatif
 
 #: 2 x 3 cartesian sweep = 6 replay points per run.
 SWEEPS = [("proc", [0.5, 2.0]), ("net.latency", [0.5, 1.0, 2.0])]
@@ -39,11 +39,11 @@ def test_whatif_sweep_throughput_and_cache(tmp_path, outdir):
     cache = ResultCache(tmp_path / "cache")
 
     t0 = time.perf_counter()
-    cold = run_whatif(workload(), sweeps=SWEEPS, cache=cache)
+    cold = api.whatif(workload(), sweeps=SWEEPS, cache=cache)
     t_cold = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    warm = run_whatif(workload(), sweeps=SWEEPS, cache=cache)
+    warm = api.whatif(workload(), sweeps=SWEEPS, cache=cache)
     t_warm = time.perf_counter() - t0
 
     assert cold == warm, "cache hits changed the what-if report"

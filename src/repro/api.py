@@ -1,9 +1,7 @@
 """:mod:`repro.api` — the single supported analysis entry surface.
 
-PRs 1–9 grew one callable per capability (``run_query``, ``diff_runs``,
-``diff_archives``, ``run_whatif``, raw :class:`Frame` plumbing, …), each
-with its own spelling for "which run".  This facade replaces that
-scatter with one handle::
+One handle per run, whatever the capability, and one spelling for
+"which run" (an archive path or a registry run id)::
 
     import repro.api as api
 
@@ -16,9 +14,10 @@ scatter with one handle::
     api.diff("a.aptrc", "b.aptrc")                # module-level peers
     api.whatif(workload, sweeps=[("net", [0.5])])
 
-The legacy functions still work but emit :class:`DeprecationWarning`
-and delegate here; ``core/cli.py``, the serve handlers, and the
-examples all go through this module.
+Queries and diffs read archive sections through one columnar
+evaluator (:mod:`repro.core.query`, :mod:`repro.core.diffing`);
+``core/cli.py``, the serve handlers, and the examples all go through
+this module.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ class Run:
 
     Obtained from :func:`open_run`; usable as a context manager.  All
     methods operate on the archive's columnar sections — no full trace
-    objects are materialized unless a legacy path demands it.
+    objects are materialized.
     """
 
     def __init__(self, archive: Archive, *, run_id: str | None = None)\

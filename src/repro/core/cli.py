@@ -51,6 +51,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -67,6 +68,7 @@ from repro.core.report import (
 from repro.core.store.archive import (
     Archive,
     ArchiveError,
+    Section,
     is_archive,
     load_logical,
     load_overall,
@@ -77,25 +79,6 @@ from repro.core.viz.bars import grouped_bar_graph
 from repro.core.viz.heatmap import heatmap_svg
 from repro.core.viz.stacked import stacked_bar_graph
 from repro.core.viz.violin import violin_svg
-
-
-class _DeprecatedFlag(argparse.Action):
-    """A hidden alias for a renamed flag.
-
-    Stores into the canonical destination and prints a one-line
-    deprecation note, so old spellings (``--export-archive``,
-    ``--report``) keep working while every subcommand documents the
-    normalized names (``--out``, ``--jobs``, ``--cache``).
-    """
-
-    def __init__(self, *args, canonical: str = "--out", **kwargs) -> None:
-        self.canonical = canonical
-        super().__init__(*args, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(f"note: {option_string} is deprecated; use {self.canonical}",
-              file=sys.stderr)
-        setattr(namespace, self.dest, values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,10 +215,11 @@ def _render(args, archive, out, emitted, say) -> int:
     def dir_machine_spec():
         """The machine spec from the logical trace, if one is present."""
         try:
-            return parse_logical_dir(args.trace_dir, args.num_pes).spec
+            return load("logical").spec
         except (FileNotFoundError, ValueError):
             return None
 
+    @functools.cache
     def load(kind):
         """Load one trace kind from the archive or the text directory."""
         if archive is not None:
@@ -252,6 +236,13 @@ def _render(args, archive, out, emitted, say) -> int:
             "papi": lambda: parse_papi_dir(args.trace_dir, args.num_pes),
             "overall": lambda: parse_overall_file(args.trace_dir),
         }[kind]()
+
+    def section(kind):
+        """One trace kind as a section: the archive's own (read lazily),
+        or an in-memory section over the parsed text directory."""
+        if archive is not None:
+            return archive.section(kind)
+        return Section.from_columns(kind, *load(kind).to_columns())
 
     if args.logical:
         trace = load("logical")
@@ -307,8 +298,7 @@ def _render(args, archive, out, emitted, say) -> int:
             from repro.core.analysis import aggregate_to_nodes
 
             logical_spec = (archive.spec() if archive is not None
-                            else parse_logical_dir(args.trace_dir,
-                                                   args.num_pes).spec)
+                            else load("logical").spec)
             if logical_spec.nodes > 1:
                 node_m = aggregate_to_nodes(trace.matrix(), logical_spec)
                 path = out / "physical_heatmap_nodes.svg"
@@ -322,28 +312,30 @@ def _render(args, archive, out, emitted, say) -> int:
         say(physical_report(trace))
 
     if args.compare is not None:
+        from contextlib import ExitStack
+
         from repro.core.diffing import (
-            LogicalDiff,
-            OverallDiff,
-            PhysicalDiff,
             compare_report,
-            load_traces,
+            diff_sections,
+            run_sections,
         )
 
-        logical_d = overall_d = physical_d = None
+        selected = [kind for kind, wanted in (("logical", args.logical),
+                                              ("overall", args.overall),
+                                              ("physical", args.physical))
+                    if wanted]
         try:
-            other = load_traces(args.compare, args.num_pes)
-            if args.logical and other.logical is not None:
-                logical_d = LogicalDiff.of(load("logical"), other.logical)
-            if args.overall and other.overall is not None:
-                overall_d = OverallDiff.of(load("overall"), other.overall)
-            if args.physical and other.physical is not None:
-                physical_d = PhysicalDiff.of(load("physical"), other.physical)
+            with ExitStack() as stack:
+                other, other_pes = run_sections(args.compare, args.num_pes,
+                                                stack)
+                mine = {kind: section(kind) for kind in selected
+                        if kind in other}
+                diffs = diff_sections(mine, args.num_pes, other, other_pes)
         except (FileNotFoundError, ValueError) as exc:
             print(f"compare failed: {exc}", file=sys.stderr)
             return 2
         print(compare_report(str(args.trace_dir), str(args.compare),
-                             logical_d, overall_d, physical_d))
+                             **diffs))
 
     if args.query:
         from repro.core.query import QueryError, query_trace
@@ -357,24 +349,7 @@ def _render(args, archive, out, emitted, say) -> int:
                       f"'physical: EXPR'", file=sys.stderr)
                 return 2
             try:
-                if archive is not None:
-                    # column-pruned evaluation straight off the archive
-                    result = query_trace(archive.section(target), expr)
-                else:
-                    if target == "logical":
-                        trace = parse_logical_dir(args.trace_dir, args.num_pes)
-                    else:
-                        # node layout isn't in physical.txt; borrow the
-                        # logical trace's machine spec when it's present
-                        spec = None
-                        try:
-                            spec = parse_logical_dir(
-                                args.trace_dir, args.num_pes).spec
-                        except (FileNotFoundError, ValueError):
-                            pass
-                        trace = parse_physical_file(
-                            args.trace_dir, args.num_pes, spec=spec)
-                    result = query_trace(trace, expr)
+                result = query_trace(section(target), expr)
             except (QueryError, FileNotFoundError, ValueError,
                     ArchiveError) as exc:
                 print(f"query failed: {exc}", file=sys.stderr)
@@ -659,9 +634,6 @@ def _run_parser() -> argparse.ArgumentParser:
                              "required to salvage a failing run; with "
                              "--sweep, PATH is a directory that receives "
                              "one APP-TAG.aptrc per sweep point")
-    parser.add_argument("--export-archive", dest="export_archive", type=Path,
-                        action=_DeprecatedFlag, canonical="--out",
-                        help=argparse.SUPPRESS)
     parser.add_argument("--sweep", action="append", default=[],
                         metavar="PARAM=V1,V2,...",
                         help="sweep a parameter over several values "
@@ -928,9 +900,6 @@ def _check_parser() -> argparse.ArgumentParser:
                         metavar="PATH",
                         help="write the machine-readable JSON verdict(s) "
                              "to PATH")
-    parser.add_argument("--report", dest="report", type=Path,
-                        action=_DeprecatedFlag, canonical="--out",
-                        help=argparse.SUPPRESS)
     parser.add_argument("--keep-archives", type=Path, default=None,
                         metavar="DIR",
                         help="keep every schedule's .aptrc archive in DIR "
@@ -1112,9 +1081,6 @@ def _whatif_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", dest="report", type=Path, default=None,
                         metavar="PATH",
                         help="write the machine-readable JSON report to PATH")
-    parser.add_argument("--report", dest="report", type=Path,
-                        action=_DeprecatedFlag, canonical="--out",
-                        help=argparse.SUPPRESS)
     parser.add_argument("--keep-archives", type=Path, default=None,
                         metavar="DIR",
                         help="keep the baseline and per-point .aptrc "

@@ -3,36 +3,37 @@
 The paper's analysis is intrinsically comparative — 1D Cyclic *versus*
 1D Range, one node *versus* two.  This module turns that into tooling:
 given two runs' traces, compute the per-PE and aggregate deltas and render
-a side-by-side report.  The CLI exposes it as ``--compare OTHER_DIR`` and
-as ``actorprof diff RUN_A RUN_B``, where each run may be a paper-format
-trace directory or a ``.aptrc`` archive (:func:`diff_runs`).
+a side-by-side report.  The CLI exposes it as ``--compare OTHER`` and as
+``actorprof diff RUN_A RUN_B``, where each run may be a paper-format
+trace directory or a ``.aptrc`` archive (:func:`repro.api.diff`).
 
-When *both* runs are archives, the comparison rides the columnar
+Every comparison reads archive
+:class:`~repro.core.store.archive.Section` objects through the columnar
 :class:`~repro.core.store.frame.Frame` layer: send matrices are
 scatter-summed straight from decoded columns and byte totals come from
-footer chunk sums where available, so no full trace objects (and no
-per-route Python dicts) are ever materialized.  Directory or mixed
-comparisons keep the materializing path.
+footer chunk sums where available.  Archive sides are read lazily from
+the file and never materialized into trace objects; a trace directory
+is parsed once and wrapped in in-memory sections
+(:meth:`Section.from_columns`), so every pairing renders the same report.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.analysis import imbalance_ratio
-from repro.core.logical import LogicalTrace, parse_logical_dir
+from repro.core.logical import parse_logical_dir
 from repro.core.overall import OverallProfile, parse_overall_file
-from repro.core.physical import PhysicalTrace, parse_physical_file
+from repro.core.physical import parse_physical_file
 from repro.core.store.archive import (
     Archive,
     RunTraces,
     Section,
     is_archive,
-    load_overall,
-    load_run,
 )
 from repro.core.store.frame import Frame, group_sum, scatter_matrix
 
@@ -54,13 +55,9 @@ class LogicalDiff:
     moved_messages: int             # |A - B| matrix mass (same shape only)
 
     @classmethod
-    def of(cls, a: LogicalTrace, b: LogicalTrace) -> "LogicalDiff":
-        return cls.from_matrices(a.matrix(), b.matrix())
-
-    @classmethod
     def from_matrices(cls, ma: np.ndarray, mb: np.ndarray) -> "LogicalDiff":
-        """Diff two per-PE send-count matrices directly (the archive
-        path builds these from columns without a trace object)."""
+        """Diff two per-PE send-count matrices (built from section
+        columns by :func:`_logical_matrix`)."""
         moved = int(np.abs(ma - mb).sum()) if ma.shape == mb.shape else -1
         return cls(
             total_sends_a=int(ma.sum()),
@@ -108,17 +105,8 @@ class PhysicalDiff:
     bytes_ratio: float
 
     @classmethod
-    def of(cls, a: PhysicalTrace, b: PhysicalTrace) -> "PhysicalDiff":
-        return cls(
-            ops_a=a.counts_by_type(),
-            ops_b=b.counts_by_type(),
-            bytes_ratio=_ratio(int(a.bytes_matrix().sum()),
-                               int(b.bytes_matrix().sum())),
-        )
-
-    @classmethod
     def from_sections(cls, a: Section, b: Section) -> "PhysicalDiff":
-        """Diff two archive physical sections without rebuilding traces."""
+        """Diff two physical sections without rebuilding traces."""
         return cls(
             ops_a=_ops_by_type(a),
             ops_b=_ops_by_type(b),
@@ -200,15 +188,10 @@ def compare_report(
 # ----------------------------------------------------------------------
 
 def load_traces(path: str | Path, n_pes: int | None = None) -> RunTraces:
-    """Load whatever traces exist at ``path``.
-
-    ``path`` is either a ``.aptrc`` archive (self-describing, ``n_pes``
-    ignored) or a paper-format trace directory, for which ``n_pes`` is
-    required to parse the per-PE CSV files.
-    """
+    """Parse whatever traces exist in the paper-format trace directory
+    ``path``; ``n_pes`` is required to parse the per-PE CSV files.
+    Archives are read by :func:`run_sections` instead."""
     path = Path(path)
-    if is_archive(path):
-        return load_run(path)
     if not path.is_dir():
         raise FileNotFoundError(
             f"{path} is neither a trace directory nor a .aptrc archive"
@@ -244,39 +227,50 @@ def _logical_matrix(section: Section, n_pes: int) -> np.ndarray:
                           frame.column("count"), (n_pes, n_pes))
 
 
-def _diff_archives(
-    path_a: str | Path,
-    path_b: str | Path,
-    label_a: str | None = None,
-    label_b: str | None = None,
-) -> str:
-    """Compare two ``.aptrc`` archives column-wise (no trace objects).
+#: The trace kinds a run comparison reads.
+_DIFF_KINDS = ("logical", "overall", "physical")
 
-    Logical send matrices are scatter-summed from src/dst/count columns,
-    physical op counts and wire bytes come from the frame layer (footer
-    chunk sums when present), and only the small per-PE overall section
-    is materialized.  Output is identical to the trace-based path.
+
+def run_sections(path: str | Path, n_pes: int | None,
+                 stack: ExitStack) -> tuple[dict[str, Section], int]:
+    """The diffable sections of one run, plus its PE count.
+
+    An archive's sections are read lazily from the file (kept open on
+    ``stack``); a trace directory is parsed once by :func:`load_traces`
+    and wrapped in in-memory sections.
     """
-    with Archive(path_a) as a, Archive(path_b) as b:
-        logical = overall = physical = None
-        if a.has_section("logical") and b.has_section("logical"):
-            logical = LogicalDiff.from_matrices(
-                _logical_matrix(a.section("logical"), a.n_pes),
-                _logical_matrix(b.section("logical"), b.n_pes),
-            )
-        if a.has_section("overall") and b.has_section("overall"):
-            overall = OverallDiff.of(load_overall(a), load_overall(b))
-        if a.has_section("physical") and b.has_section("physical"):
-            physical = PhysicalDiff.from_sections(
-                a.section("physical"), b.section("physical")
-            )
-        return compare_report(
-            label_a if label_a is not None else str(path_a),
-            label_b if label_b is not None else str(path_b),
-            logical=logical,
-            overall=overall,
-            physical=physical,
+    if is_archive(path):
+        archive = stack.enter_context(Archive(path))
+        return ({kind: archive.section(kind) for kind in _DIFF_KINDS
+                 if archive.has_section(kind)}, archive.n_pes)
+    traces = load_traces(path, n_pes)
+    return ({kind: Section.from_columns(kind, *trace.to_columns())
+             for kind in _DIFF_KINDS
+             if (trace := getattr(traces, kind)) is not None}, n_pes)
+
+
+def diff_sections(a: dict[str, Section], n_pes_a: int,
+                  b: dict[str, Section], n_pes_b: int) -> dict:
+    """Diff every trace kind present in both runs' sections; returns the
+    keyword arguments of :func:`compare_report`."""
+    diffs: dict = {}
+    if "logical" in a and "logical" in b:
+        diffs["logical"] = LogicalDiff.from_matrices(
+            _logical_matrix(a["logical"], n_pes_a),
+            _logical_matrix(b["logical"], n_pes_b),
         )
+    if "overall" in a and "overall" in b:
+        diffs["overall"] = OverallDiff.of(_overall(a["overall"]),
+                                          _overall(b["overall"]))
+    if "physical" in a and "physical" in b:
+        diffs["physical"] = PhysicalDiff.from_sections(a["physical"],
+                                                       b["physical"])
+    return diffs
+
+
+def _overall(section: Section) -> OverallProfile:
+    """The small per-PE overall profile (the one section materialized)."""
+    return OverallProfile.from_columns(section.read(), section.attrs)
 
 
 def _diff_runs(
@@ -289,61 +283,14 @@ def _diff_runs(
     """Compare two stored runs and render the side-by-side report.
 
     Each path may be a trace directory or a ``.aptrc`` archive; only the
-    trace kinds present in *both* runs are compared.  Two archives are
-    diffed column-wise via :func:`_diff_archives`; directories (or a
-    mixed pair) go through full trace loading.
-
-    The supported entry points are :func:`repro.api.diff` and
-    :meth:`repro.api.Run.diff`; :func:`diff_runs` / :func:`diff_archives`
-    are the deprecated legacy spellings.
+    trace kinds present in *both* runs are compared.  The supported
+    entry points are :func:`repro.api.diff` and :meth:`repro.api.Run.diff`.
     """
-    if is_archive(path_a) and is_archive(path_b):
-        return _diff_archives(path_a, path_b, label_a, label_b)
-    a = load_traces(path_a, n_pes)
-    b = load_traces(path_b, n_pes)
-    logical = (LogicalDiff.of(a.logical, b.logical)
-               if a.logical is not None and b.logical is not None else None)
-    overall = (OverallDiff.of(a.overall, b.overall)
-               if a.overall is not None and b.overall is not None else None)
-    physical = (PhysicalDiff.of(a.physical, b.physical)
-                if a.physical is not None and b.physical is not None else None)
-    return compare_report(
-        label_a if label_a is not None else str(path_a),
-        label_b if label_b is not None else str(path_b),
-        logical=logical,
-        overall=overall,
-        physical=physical,
-    )
-
-
-def _deprecated(old: str) -> None:
-    import warnings
-
-    warnings.warn(
-        f"{old}() is deprecated; use repro.api.diff() or "
-        "repro.api.open_run(...).diff()",
-        DeprecationWarning, stacklevel=3,
-    )
-
-
-def diff_archives(
-    path_a: str | Path,
-    path_b: str | Path,
-    label_a: str | None = None,
-    label_b: str | None = None,
-) -> str:
-    """Deprecated alias; use :func:`repro.api.diff`."""
-    _deprecated("diff_archives")
-    return _diff_archives(path_a, path_b, label_a, label_b)
-
-
-def diff_runs(
-    path_a: str | Path,
-    path_b: str | Path,
-    n_pes: int | None = None,
-    label_a: str | None = None,
-    label_b: str | None = None,
-) -> str:
-    """Deprecated alias; use :func:`repro.api.diff`."""
-    _deprecated("diff_runs")
-    return _diff_runs(path_a, path_b, n_pes, label_a, label_b)
+    with ExitStack() as stack:
+        a, n_pes_a = run_sections(path_a, n_pes, stack)
+        b, n_pes_b = run_sections(path_b, n_pes, stack)
+        return compare_report(
+            label_a if label_a is not None else str(path_a),
+            label_b if label_b is not None else str(path_b),
+            **diff_sections(a, n_pes_a, b, n_pes_b),
+        )

@@ -32,29 +32,30 @@ its column instead of silently re-interpreting the rest of the query.
 bytes, ``ops`` is an alias of ``sends`` reading naturally for physical
 traces.  ``kind`` only exists on physical traces and compares against
 send-type *names* (``kind == local_send``); comparing it against
-integers or other fields is rejected at parse time — the name-vs-code
-representation differs between in-memory traces and archives, so such
-comparisons could not mean the same thing on both.  ``top N`` only
+integers or other fields is rejected at parse time — sections store
+``kind`` as a code into their ``send_types`` attr, so such comparisons
+would depend on storage order, not on the trace.  ``top N`` only
 ranks ``group by`` output; without a ``group by`` it is meaningless and
 is normalized away, so ``sends top 5`` and ``sends`` share one
 canonical spelling (and one cache key).
 
-Evaluation works on the aggregated in-memory representation — no row
-expansion, so it is cheap even for billion-send traces.  Node fields
-(``src_node``/``dst_node``) need the machine layout; traces that do not
-carry one (e.g. a bare ``PhysicalTrace(n_pes)``) raise a clear
-:class:`QueryError`.
-
-Queries also run directly against ``.aptrc`` archives without
-materializing a trace object: pass an archive
-:class:`~repro.core.store.archive.Section` and evaluation rides the
-columnar :class:`~repro.core.store.frame.Frame` — untouched columns
-(and sections) are never read from disk, footer chunk stats prune row
-groups that cannot match the conditions, and un-predicated aggregates
-are answered from footer sums with zero payload decode::
+There is one evaluator: the columnar
+:class:`~repro.core.store.frame.Frame` over an archive
+:class:`~repro.core.store.archive.Section`.  Archive sections are read
+lazily — untouched columns (and sections) are never read from disk,
+footer chunk stats prune row groups that cannot match the conditions,
+and un-predicated aggregates are answered from footer sums with zero
+payload decode::
 
     with Archive("run.aptrc") as a:
         query_trace(a.section("logical"), "sends where src == 0 group by dst")
+
+In-memory :class:`LogicalTrace`/:class:`PhysicalTrace` objects are
+wrapped in a stat-less in-memory section
+(:meth:`Section.from_columns`) and take the same full-decode path.
+Node fields (``src_node``/``dst_node``) need the machine layout;
+sections that do not carry one (e.g. from a bare
+``PhysicalTrace(n_pes)``) raise a clear :class:`QueryError`.
 
 Pass ``pushdown=False`` to force the full-decode path (identical
 results; used by the differential tests and benchmarks).
@@ -133,22 +134,6 @@ class Condition:
     field: str
     op: str
     value: int | str | FieldRef
-
-    def matches(self, row: dict) -> bool:
-        if self.field not in row:
-            raise QueryError(
-                f"field {self.field!r} does not exist on this trace "
-                f"(have {sorted(row)})"
-            )
-        rhs = self.value
-        if isinstance(rhs, FieldRef):
-            if rhs.name not in row:
-                raise QueryError(
-                    f"field {rhs.name!r} does not exist on this trace "
-                    f"(have {sorted(row)})"
-                )
-            rhs = row[rhs.name]
-        return _OPS[self.op](row[self.field], rhs)
 
 
 @dataclass(frozen=True)
@@ -232,8 +217,8 @@ def parse(text: str) -> Query:
                 value = raw
             if fld == "kind" or (isinstance(value, FieldRef)
                                  and value.name == "kind"):
-                # kind is a string in memory but a code on disk, so only
-                # name comparisons mean the same thing on both paths
+                # kind is stored as a code into send_types, so only
+                # name comparisons are independent of storage order
                 if not isinstance(value, str):
                     raise QueryError(
                         "kind compares against send-type names "
@@ -289,9 +274,8 @@ def normalize(text: str) -> str:
 def _check_fields(q: Query, available: set[str]) -> None:
     """Reject references to fields this trace cannot answer, up front.
 
-    Doing this before evaluation keeps empty traces, in-memory traces,
-    and archives consistent — a row-walk over zero rows would otherwise
-    accept any field name.
+    Doing this before any column is decoded turns a missing column into
+    a :class:`QueryError` naming the fields the section does have.
     """
     names = []
     for c in q.conditions:
@@ -312,34 +296,6 @@ def _check_fields(q: Query, available: set[str]) -> None:
             f"field {name!r} does not exist on this trace "
             f"(have {sorted(available)})"
         )
-
-
-def _logical_rows(trace: LogicalTrace):
-    spec = trace.spec
-    for src, counts in enumerate(trace._counts):
-        for (dst, size), n in counts.items():
-            yield {
-                "src": src,
-                "dst": dst,
-                "size": size,
-                "src_node": spec.node_of(src),
-                "dst_node": spec.node_of(dst),
-            }, n, n * size
-
-
-def _physical_rows(trace: PhysicalTrace):
-    spec = trace.spec
-    for (kind, nbytes, src, dst), n in trace._counts.items():
-        row = {
-            "src": src,
-            "dst": dst,
-            "size": nbytes,
-            "kind": kind,
-        }
-        if spec is not None:
-            row["src_node"] = spec.node_of(src)
-            row["dst_node"] = spec.node_of(dst)
-        yield row, n, n * nbytes
 
 
 def _archive_eval(section: Section, q: Query, pushdown: bool = True):
@@ -367,7 +323,7 @@ def _archive_eval(section: Section, q: Query, pushdown: bool = True):
 
     def kind_code(name: str) -> int:
         # unknown names match no row (so `kind != typo` matches
-        # everything, as in-memory)
+        # everything)
         return send_types.index(name) if name in send_types else -1
 
     frame = Frame(section, use_stats=pushdown)
@@ -434,10 +390,12 @@ def query_trace(trace: LogicalTrace | PhysicalTrace | Section, text: str,
     full column decoding — results are identical.
 
     The supported entry points are this function and
-    :meth:`repro.api.Run.query`; :func:`run_query` is the deprecated
-    legacy spelling.
+    :meth:`repro.api.Run.query`.
     """
     q = parse(text)
+    if isinstance(trace, (LogicalTrace, PhysicalTrace)):
+        name = "logical" if isinstance(trace, LogicalTrace) else "physical"
+        trace = Section.from_columns(name, *trace.to_columns())
     if isinstance(trace, Section):
         return _archive_eval(trace, q, pushdown=pushdown)
     if isinstance(trace, Archive):
@@ -445,46 +403,4 @@ def query_trace(trace: LogicalTrace | PhysicalTrace | Section, text: str,
             "pass a section, e.g. archive.section('logical') or "
             "archive.section('physical')"
         )
-    if isinstance(trace, LogicalTrace):
-        available = {"src", "dst", "size", "src_node", "dst_node"}
-        rows = _logical_rows(trace)
-    elif isinstance(trace, PhysicalTrace):
-        available = {"src", "dst", "size", "kind"}
-        if trace.spec is not None:
-            available |= set(_NODE_FIELDS)
-        rows = _physical_rows(trace)
-    else:
-        raise QueryError(f"cannot query a {type(trace).__name__}")
-    _check_fields(q, available)
-    groups: dict = {}
-    total = 0
-    for row, count, nbytes in rows:
-        if not all(c.matches(row) for c in q.conditions):
-            continue
-        amount = nbytes if q.metric == "bytes" else count
-        if q.group_by is None:
-            total += amount
-        else:
-            key = row[q.group_by]
-            groups[key] = groups.get(key, 0) + amount
-    if q.group_by is None:
-        return total
-    ranked = sorted(groups.items(), key=lambda kv: (-kv[1], str(kv[0])))
-    return ranked[: q.top] if q.top is not None else ranked
-
-
-def run_query(trace: LogicalTrace | PhysicalTrace | Section, text: str,
-              *, pushdown: bool = True):
-    """Deprecated alias of :func:`query_trace`.
-
-    Use :meth:`repro.api.Run.query` (or :func:`query_trace` for bare
-    trace objects) instead.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_query() is deprecated; use repro.api.open_run(...).query() "
-        "or repro.core.query.query_trace()",
-        DeprecationWarning, stacklevel=2,
-    )
-    return query_trace(trace, text, pushdown=pushdown)
+    raise QueryError(f"cannot query a {type(trace).__name__}")

@@ -94,7 +94,7 @@ def overall_report(profile: OverallProfile, title: str = "Overall profiling") ->
 
 
 def whatif_report(report: dict, title: str = "What-if analysis") -> str:
-    """Text rendering of a :func:`repro.whatif.run_whatif` report dict."""
+    """Text rendering of a :func:`repro.api.whatif` report dict."""
     analysis = report["analysis"]
     baseline = report["baseline"]
     cp = analysis["critical_path"]

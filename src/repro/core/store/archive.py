@@ -84,9 +84,13 @@ class ChunkRef:
 
 
 class Section:
-    """Lazy view of one archive section; decodes columns on demand."""
+    """Lazy view of one archive section; decodes columns on demand.
 
-    def __init__(self, archive: "Archive", name: str, index: dict) -> None:
+    :meth:`from_columns` builds the same view over in-memory columns.
+    """
+
+    def __init__(self, archive: "Archive | None", name: str,
+                 index: dict) -> None:
         self._archive = archive
         self.name = name
         self.attrs: dict = index.get("attrs", {})
@@ -104,6 +108,27 @@ class Section:
         )
         self._cache: dict[str, np.ndarray] = {}
         self._chunk_cache: dict[tuple[str, int], np.ndarray] = {}
+
+    @classmethod
+    def from_columns(cls, name: str, columns: dict[str, np.ndarray],
+                     attrs: dict) -> "Section":
+        """An in-memory section over already-decoded columns.
+
+        Takes the ``(columns, attrs)`` pair of a trace's ``to_columns()``
+        and holds it as one stat-less row group with no archive behind
+        it, so queries and diffs read in-memory traces through the same
+        :class:`~repro.core.store.frame.Frame` path as archives (full
+        decode, no pruning).
+        """
+        rows = len(next(iter(columns.values()), ()))
+        section = cls(None, name, {
+            "attrs": attrs,
+            "rows": rows,
+            "columns": {col: [(0, 0, "memory", rows)] for col in columns},
+        })
+        for col, values in columns.items():
+            section._cache[col] = values
+        return section
 
     @property
     def columns(self) -> tuple[str, ...]:

@@ -11,12 +11,14 @@ that make multi-million-row scans cheap:
 * **stats-only aggregation** — un-predicated sums (``sends``, ``bytes``)
   are answered straight from the footer sums, decoding nothing at all.
 
-Both the query layer (:mod:`repro.core.query`) and archive-vs-archive
-diffing (:mod:`repro.core.diffing`) sit on this frame, so neither
-materializes full trace objects.  Archives written before the stats
-extension (or with stats disabled) degrade gracefully: pruning becomes a
-no-op and every read falls back to full column decoding — results are
-identical either way.
+Both the query layer (:mod:`repro.core.query`) and run diffing
+(:mod:`repro.core.diffing`) sit on this frame alone, for archives and
+in-memory traces alike, so neither materializes full trace objects.
+Sections without chunk stats — archives written before the stats
+extension (or with stats disabled), and in-memory sections from
+:meth:`~repro.core.store.archive.Section.from_columns` — degrade
+gracefully: pruning becomes a no-op and every read falls back to full
+column decoding — results are identical either way.
 """
 
 from __future__ import annotations

@@ -65,14 +65,21 @@ class ServeClient:
         wire_head = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
         with socket.create_connection((self.host, self.port),
                                       timeout=self.timeout) as sock:
-            sock.sendall(wire_head)
-            if chunks is not None:
-                for chunk in chunks:
-                    if chunk:
-                        sock.sendall(b"%x\r\n" % len(chunk) + chunk + b"\r\n")
-                sock.sendall(b"0\r\n\r\n")
-            elif body is not None:
-                sock.sendall(body)
+            try:
+                sock.sendall(wire_head)
+                if chunks is not None:
+                    for chunk in chunks:
+                        if chunk:
+                            sock.sendall(b"%x\r\n" % len(chunk) + chunk
+                                         + b"\r\n")
+                    sock.sendall(b"0\r\n\r\n")
+                elif body is not None:
+                    sock.sendall(body)
+            except (BrokenPipeError, ConnectionResetError):
+                # the server answered (e.g. 429 at admission) and closed
+                # before reading the whole body; its answer is still
+                # waiting in the receive buffer
+                pass
             return self._read_response(sock)
 
     def _read_response(self, sock: socket.socket

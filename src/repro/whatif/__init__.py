@@ -7,7 +7,7 @@ perturbed cost models and diffs the T_* totals against baseline.  See
 """
 
 from repro.whatif.dag import DagRecorder, EventDag, Transfer, build_dag
-from repro.whatif.engine import parse_sweep, run_whatif
+from repro.whatif.engine import parse_sweep
 from repro.whatif.perturb import Scales, WhatifProfiler, parse_scale
 from repro.whatif.replay import execute_point, run_totals
 from repro.whatif.task import run_whatif_point
@@ -23,6 +23,5 @@ __all__ = [
     "parse_scale",
     "parse_sweep",
     "run_totals",
-    "run_whatif",
     "run_whatif_point",
 ]

@@ -1,11 +1,12 @@
 """The what-if engine: baseline → DAG analysis → replayed speedup points.
 
-:func:`run_whatif` runs the workload once in-process with the DAG
-recorder attached, builds the happens-before DAG, extracts the critical
-path and a ranked set of *predicted* virtual speedups (each plausible
-target sped up by ``candidate_factor``), then fans any requested replay
-points out through :func:`repro.exec.execute` and diffs their measured
-T_* totals against the baseline.
+:func:`_run_whatif` (behind :func:`repro.api.whatif`) runs the workload
+once in-process with the DAG recorder attached, builds the
+happens-before DAG, extracts the critical path and a ranked set of
+*predicted* virtual speedups (each plausible target sped up by
+``candidate_factor``), then fans any requested replay points out
+through :func:`repro.exec.execute` and diffs their measured T_* totals
+against the baseline.
 
 The report dict is deliberately free of wall-clock times, job counts and
 scratch paths: its JSON serialization must be byte-identical whether the
@@ -183,8 +184,7 @@ def _run_whatif(workload: Workload, *,
     built :class:`EventDag` (for tests and programmatic callers).
 
     The supported entry points are :func:`repro.api.whatif` and
-    :meth:`repro.api.Run.whatif`; :func:`run_whatif` is the deprecated
-    legacy spelling.
+    :meth:`repro.api.Run.whatif`.
     """
     reject_crash_plans(fault_plan)
     tmp: TemporaryDirectory | None = None
@@ -300,14 +300,3 @@ def _run_whatif(workload: Workload, *,
         if tmp is not None:
             tmp.cleanup()
 
-
-def run_whatif(workload: Workload, **kwargs) -> dict:
-    """Deprecated alias of the engine; use :func:`repro.api.whatif`."""
-    import warnings
-
-    warnings.warn(
-        "run_whatif() is deprecated; use repro.api.whatif() or "
-        "repro.api.open_run(...).whatif()",
-        DeprecationWarning, stacklevel=2,
-    )
-    return _run_whatif(workload, **kwargs)

@@ -1,9 +1,7 @@
 """Tests for the :mod:`repro.api` facade.
 
 Parity is the contract: every facade call must return byte-for-byte
-what the legacy entry point it replaces returns, and every legacy entry
-point must keep working — emitting a :class:`DeprecationWarning` that
-names its facade replacement.
+what the core entry point behind it returns, without warnings.
 """
 
 import warnings
@@ -11,7 +9,7 @@ import warnings
 import pytest
 
 import repro.api as api
-from repro.core.query import query_trace, run_query
+from repro.core.query import query_trace
 from repro.core.store.archive import Archive
 from repro.core.store.registry import RunRegistry
 
@@ -46,7 +44,7 @@ def test_open_run_by_registered_id(tmp_path):
     registry.add(HIST, run_id="golden-hist")
     with api.open_run("golden-hist", registry=tmp_path / "reg") as run:
         assert run.run_id == "golden-hist"
-        assert run.query("sends") == _legacy_query(HIST, "sends")
+        assert run.query("sends") == _core_query(HIST, "sends")
 
 
 def test_open_run_rejects_non_archives(tmp_path):
@@ -66,32 +64,22 @@ def test_run_archive_escape_hatch():
 # query parity
 # ----------------------------------------------------------------------
 
-def _legacy_query(path, text, section="logical"):
-    with Archive(path) as archive:
+def _core_query(path, text, section="logical"):
+    with Archive(path) as archive, warnings.catch_warnings():
+        warnings.simplefilter("error")  # the core path must not warn
         return query_trace(archive.section(section), text)
 
 
 @pytest.mark.parametrize("query", QUERIES)
 def test_facade_query_matches_legacy(query):
     with api.open_run(HIST) as run:
-        assert run.query(query) == _legacy_query(HIST, query)
+        assert run.query(query) == _core_query(HIST, query)
 
 
 def test_facade_query_physical_section():
     with api.open_run(HIST) as run:
         facade = run.query("ops group by kind", section="physical")
-    assert facade == _legacy_query(HIST, "ops group by kind", "physical")
-
-
-def test_run_query_wrapper_warns_and_matches():
-    with Archive(HIST) as archive:
-        section = archive.section("logical")
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            legacy = run_query(section, "sends group by dst")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # facade path must not warn
-            new = query_trace(section, "sends group by dst")
-    assert legacy == new
+    assert facade == _core_query(HIST, "ops group by kind", "physical")
 
 
 # ----------------------------------------------------------------------
@@ -99,29 +87,45 @@ def test_run_query_wrapper_warns_and_matches():
 # ----------------------------------------------------------------------
 
 def test_facade_diff_matches_legacy_byte_for_byte():
-    from repro.core.diffing import diff_runs
+    from repro.core.diffing import _diff_runs
 
-    with pytest.warns(DeprecationWarning, match="repro.api"):
-        legacy = diff_runs(HIST, TRI, label_a="histogram",
-                           label_b="triangle")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no path may warn
+        core = _diff_runs(HIST, TRI, label_a="histogram",
+                          label_b="triangle")
     with api.open_run(HIST) as run:
         facade = run.diff(TRI, label_b="triangle")
-    assert facade == legacy
+    assert facade == core
     assert api.diff(HIST, TRI, label_a="histogram",
-                    label_b="triangle") == legacy
+                    label_b="triangle") == core
+
+
+def _as_directory(archive_path, directory):
+    """Write an archive's diffable traces out in the paper's text format."""
+    from repro.core.store.archive import load_run
+
+    traces = load_run(archive_path)
+    for kind in ("logical", "physical", "overall"):
+        getattr(traces, kind).write(directory)
+    return directory
+
+
+def test_diff_reports_identical_for_archives_and_directories(tmp_path):
+    """archive↔archive, dir↔dir and archive↔dir render the same bytes."""
+    hist_dir = _as_directory(HIST, tmp_path / "histogram")
+    tri_dir = _as_directory(TRI, tmp_path / "triangle")
+    labels = {"label_a": "histogram", "label_b": "triangle"}
+    expected = api.diff(HIST, TRI, **labels)
+    assert "logical: sends" in expected
+    assert "overall: total-time ratio" in expected
+    assert "physical ops (A vs B)" in expected
+    for a, b in ((hist_dir, tri_dir), (HIST, tri_dir), (hist_dir, TRI)):
+        assert api.diff(a, b, n_pes=4, **labels) == expected, (a, b)
 
 
 def test_run_diff_accepts_run_objects():
     with api.open_run(HIST) as a, api.open_run(TRI) as b:
         assert a.diff(b) == a.diff(TRI)
-
-
-def test_diff_archives_wrapper_warns():
-    from repro.core.diffing import diff_archives
-
-    with pytest.warns(DeprecationWarning, match="repro.api"):
-        report = diff_archives(HIST, HIST, "a", "b")
-    assert "comparing" in report
 
 
 # ----------------------------------------------------------------------
@@ -131,18 +135,17 @@ def test_diff_archives_wrapper_warns():
 def test_facade_whatif_matches_legacy():
     from repro.check.workloads import HistogramWorkload
     from repro.machine.spec import MachineSpec
-    from repro.whatif import run_whatif
+    from repro.whatif.engine import _run_whatif
 
     def workload():
         return HistogramWorkload(updates=150, table_size=32,
                                  machine=MachineSpec(2, 2), seed=0)
 
-    with pytest.warns(DeprecationWarning, match="repro.api"):
-        legacy = run_whatif(workload())
+    core = _run_whatif(workload())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         facade = api.whatif(workload())
-    assert facade == legacy
+    assert facade == core
 
 
 def test_run_whatif_requires_matching_workload():

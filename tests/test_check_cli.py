@@ -13,7 +13,7 @@ SMALL = ["--nodes", "1", "--pes-per-node", "4",
 def test_check_histogram_passes(tmp_path, capsys):
     report = tmp_path / "verdict.json"
     rc = main(["check", "histogram", "--schedules", "2", *SMALL,
-               "--skip-store-check", "--report", str(report)])
+               "--skip-store-check", "--out", str(report)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "verdict: pass" in out
@@ -36,7 +36,7 @@ def test_check_generated_programs(tmp_path, capsys):
     report = tmp_path / "verdicts.json"
     rc = main(["check", "generated", "--schedules", "2", "--programs", "2",
                "--nodes", "1", "--pes-per-node", "4",
-               "--skip-store-check", "--quiet", "--report", str(report)])
+               "--skip-store-check", "--quiet", "--out", str(report)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "generated-0: pass" in out
@@ -92,6 +92,6 @@ def test_check_report_cli_seed_is_reproducible(tmp_path):
     for path in (a, b):
         rc = main(["check", "histogram", "--schedules", "2", *SMALL,
                    "--seed", "9", "--skip-store-check", "--quiet",
-                   "--report", str(path)])
+                   "--out", str(path)])
         assert rc == 0
     assert json.loads(a.read_text()) == json.loads(b.read_text())

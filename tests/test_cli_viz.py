@@ -1,6 +1,6 @@
 """Tests for the ``actorprof viz`` / ``actorprof query`` subcommands,
 the LOD line in ``actorprof runs show``, and the normalized CLI flags
-(``--out`` everywhere, old spellings alive as deprecated aliases)."""
+(``--out`` everywhere)."""
 
 import pytest
 
@@ -137,7 +137,7 @@ def test_runs_show_degrades_on_legacy_archives(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# normalized flags + deprecated aliases
+# normalized flags
 # ----------------------------------------------------------------------
 
 def test_run_out_flag_is_canonical(tmp_path, capsys):
@@ -147,22 +147,3 @@ def test_run_out_flag_is_canonical(tmp_path, capsys):
     assert rc == 0
     assert out.exists()
     assert "deprecated" not in capsys.readouterr().err
-
-
-def test_run_export_archive_alias_still_works_but_notes(tmp_path, capsys):
-    out = tmp_path / "b.aptrc"
-    rc = main(["run", "histogram", "--updates", "100", "--table-size", "32",
-               "--export-archive", str(out)])
-    assert rc == 0
-    assert out.exists()
-    err = capsys.readouterr().err
-    assert "--export-archive is deprecated" in err and "--out" in err
-
-
-def test_check_report_alias_maps_to_out(tmp_path, capsys):
-    rc = main(["check", "histogram", "--schedules", "2", "--updates", "100",
-               "--table-size", "32", "--skip-store-check",
-               "--report", str(tmp_path / "verdict.json")])
-    assert rc in (0, 1)  # verdict depends on the workload, not the flag
-    assert (tmp_path / "verdict.json").exists()
-    assert "--report is deprecated" in capsys.readouterr().err

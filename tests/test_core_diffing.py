@@ -12,6 +12,7 @@ from repro.core.diffing import (
 from repro.core.logical import LogicalTrace
 from repro.core.overall import OverallProfile
 from repro.core.physical import PhysicalTrace
+from repro.core.store.archive import Section
 from repro.machine import MachineSpec
 
 
@@ -27,8 +28,12 @@ def make_logical(hot: bool):
     return t
 
 
+def logical_diff(a: LogicalTrace, b: LogicalTrace) -> LogicalDiff:
+    return LogicalDiff.from_matrices(a.matrix(), b.matrix())
+
+
 def test_logical_diff():
-    d = LogicalDiff.of(make_logical(True), make_logical(False))
+    d = logical_diff(make_logical(True), make_logical(False))
     assert d.total_sends_a == d.total_sends_b == 12
     assert d.max_sends_ratio == pytest.approx(4.0)  # 12 vs 3
     assert d.send_imbalance_a == pytest.approx(4.0)
@@ -40,7 +45,7 @@ def test_logical_diff_different_shapes():
     a = LogicalTrace(MachineSpec(1, 2))
     a.record(0, 1, 8)
     b = make_logical(False)
-    d = LogicalDiff.of(a, b)
+    d = logical_diff(a, b)
     assert d.moved_messages == -1  # incomparable shapes flagged
 
 
@@ -67,7 +72,10 @@ def test_physical_diff():
     a.record("nonblock_send", 200, 0, 1, 0)
     b = PhysicalTrace(2)
     b.record("local_send", 50, 1, 0, 0)
-    d = PhysicalDiff.of(a, b)
+    d = PhysicalDiff.from_sections(
+        Section.from_columns("physical", *a.to_columns()),
+        Section.from_columns("physical", *b.to_columns()),
+    )
     assert d.ops_a == {"local_send": 1, "nonblock_send": 1}
     assert d.ops_b == {"local_send": 1}
     assert d.bytes_ratio == pytest.approx(6.0)
@@ -76,7 +84,7 @@ def test_physical_diff():
 def test_compare_report_text():
     text = compare_report(
         "cyclic", "range",
-        logical=LogicalDiff.of(make_logical(True), make_logical(False)),
+        logical=logical_diff(make_logical(True), make_logical(False)),
         overall=OverallDiff.of(make_overall(False), make_overall(True)),
         physical=None,
     )

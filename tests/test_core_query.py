@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.logical import LogicalTrace
 from repro.core.physical import PhysicalTrace
-from repro.core.query import Query, QueryError, parse, run_query
+from repro.core.query import Query, QueryError, parse, query_trace
 from repro.machine import MachineSpec
 
 
@@ -103,54 +103,54 @@ def test_top_still_rejects_negative():
 
 
 def test_total_sends(logical):
-    assert run_query(logical, "sends") == 9
+    assert query_trace(logical, "sends") == 9
 
 
 def test_where_filters(logical):
-    assert run_query(logical, "sends where src == 0") == 8
-    assert run_query(logical, "sends where size == 16") == 3
-    assert run_query(logical, "sends where src == 0 and dst != 1") == 3
+    assert query_trace(logical, "sends where src == 0") == 8
+    assert query_trace(logical, "sends where size == 16") == 3
+    assert query_trace(logical, "sends where src == 0 and dst != 1") == 3
 
 
 def test_bytes_metric(logical):
-    assert run_query(logical, "bytes") == 5 * 8 + 3 * 16 + 8
-    assert run_query(logical, "bytes where dst == 3") == 48
+    assert query_trace(logical, "bytes") == 5 * 8 + 3 * 16 + 8
+    assert query_trace(logical, "bytes where dst == 3") == 48
 
 
 def test_node_fields(logical):
     # node 0 hosts PEs 0-1; node 1 hosts PEs 2-3
-    assert run_query(logical, "sends where src_node != dst_node") == 3 + 1
+    assert query_trace(logical, "sends where src_node != dst_node") == 3 + 1
 
 
 def test_group_by_and_top(logical):
-    ranked = run_query(logical, "sends where src == 0 group by dst")
+    ranked = query_trace(logical, "sends where src == 0 group by dst")
     assert ranked == [(1, 5), (3, 3)]
-    assert run_query(logical, "sends group by src top 1") == [(0, 8)]
+    assert query_trace(logical, "sends group by src top 1") == [(0, 8)]
 
 
 def test_physical_queries(physical):
-    assert run_query(physical, "ops") == 4
-    assert run_query(physical, "ops where kind == local_send") == 2
-    assert run_query(physical, "bytes where kind != nonblock_progress") == 400
-    ranked = run_query(physical, "ops group by kind")
+    assert query_trace(physical, "ops") == 4
+    assert query_trace(physical, "ops where kind == local_send") == 2
+    assert query_trace(physical, "bytes where kind != nonblock_progress") == 400
+    ranked = query_trace(physical, "ops group by kind")
     assert ranked[0] == ("local_send", 2)
 
 
 def test_kind_on_logical_trace_rejected(logical):
     with pytest.raises(QueryError):
-        run_query(logical, "sends where kind == local_send")
+        query_trace(logical, "sends where kind == local_send")
     with pytest.raises(QueryError):
-        run_query(logical, "sends group by kind")
+        query_trace(logical, "sends group by kind")
 
 
 def test_node_fields_on_physical_rejected(physical):
     with pytest.raises(QueryError):
-        run_query(physical, "ops where src_node == 0")
+        query_trace(physical, "ops where src_node == 0")
 
 
 def test_query_wrong_object():
     with pytest.raises(QueryError):
-        run_query(42, "sends")
+        query_trace(42, "sends")
 
 
 def test_deterministic_tie_ranking(logical):
@@ -158,7 +158,7 @@ def test_deterministic_tie_ranking(logical):
     t = LogicalTrace(MachineSpec(1, 4))
     t.record(0, 1, 8)
     t.record(0, 2, 8)
-    assert run_query(t, "sends group by dst") == [(1, 1), (2, 1)]
+    assert query_trace(t, "sends group by dst") == [(1, 1), (2, 1)]
 
 
 def test_field_to_field_comparison(logical):
@@ -166,17 +166,17 @@ def test_field_to_field_comparison(logical):
     t = LogicalTrace(MachineSpec(1, 4))
     t.record(0, 0, 8)  # self-send
     t.record(0, 1, 8)
-    assert run_query(t, "sends where src == dst") == 1
-    assert run_query(t, "sends where src != dst") == 1
+    assert query_trace(t, "sends where src == dst") == 1
+    assert query_trace(t, "sends where src != dst") == 1
 
 
 def test_negative_values_evaluate_in_memory(logical):
     """`size > -1` must match everything, not raise or match nothing."""
-    total = run_query(logical, "sends")
-    assert run_query(logical, "sends where size > -1") == total
-    assert run_query(logical, "sends where size < -1") == 0
-    assert (run_query(logical, "bytes where dst >= -3 group by dst")
-            == run_query(logical, "bytes group by dst"))
+    total = query_trace(logical, "sends")
+    assert query_trace(logical, "sends where size > -1") == total
+    assert query_trace(logical, "sends where size < -1") == 0
+    assert (query_trace(logical, "bytes where dst >= -3 group by dst")
+            == query_trace(logical, "bytes group by dst"))
 
 
 def test_negative_values_evaluate_on_archive():
@@ -188,9 +188,9 @@ def test_negative_values_evaluate_on_archive():
     golden = Path(__file__).resolve().parent / "golden" / "histogram.aptrc"
     with Archive(golden) as archive:
         section = archive.section("logical")
-        total = run_query(section, "sends")
+        total = query_trace(section, "sends")
         assert total > 0
-        assert run_query(section, "sends where size > -1") == total
-        assert run_query(section, "sends where src <= -1") == 0
+        assert query_trace(section, "sends where size > -1") == total
+        assert query_trace(section, "sends where src <= -1") == 0
         with pytest.raises(QueryError):
-            run_query(section, "sends where src == 0 @ group by dst")
+            query_trace(section, "sends where src == 0 @ group by dst")

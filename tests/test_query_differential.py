@@ -1,8 +1,10 @@
-"""Differential tests: one query language, four equivalent evaluators.
+"""Differential tests: one query language, one oracle, four frame paths.
 
-Every valid query must return identical results on
+Every valid query must return what the independent row-walk oracle
+(:mod:`tests.query_oracle`, a Python walk over the trace objects'
+aggregated routes) returns, on
 
-1. the in-memory trace objects (row-walk over aggregated routes),
+1. the in-memory trace objects (an in-memory section, full decode),
 2. a stats-carrying archive with pushdown (chunk pruning + footer sums),
 3. the same archive with ``pushdown=False`` (full column decode),
 4. a stat-less archive (pre-extension footer; full-decode fallback),
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 from repro.conveyors.hooks import SEND_TYPES
 from repro.core.logical import LogicalTrace
 from repro.core.physical import PhysicalTrace
-from repro.core.query import run_query
+from repro.core.query import query_trace
 from repro.core.store.archive import Archive
 from repro.core.store.codec import (
     CodecError,
@@ -36,6 +38,8 @@ from repro.core.store.codec import (
 )
 from repro.core.store.writer import ArchiveWriter, export_run
 from repro.machine.spec import MachineSpec
+
+from tests.query_oracle import oracle_query
 
 SETTINGS = settings(
     max_examples=25,
@@ -126,7 +130,8 @@ def _export_chunked(path, name, columns_of, attrs, rows, n_chunks, stats):
 def test_differential_logical(tmp_path, run, data):
     spec, logical, physical = run
     query = data.draw(queries(_LOGICAL_FIELDS))
-    expected = run_query(logical, query)
+    expected = oracle_query(logical, query)
+    assert query_trace(logical, query) == expected, ("memory", query)
 
     flavors = {
         "stats": export_run(tmp_path / "s.aptrc", logical=logical),
@@ -148,7 +153,7 @@ def test_differential_logical(tmp_path, run, data):
         with Archive(path) as archive:
             section = archive.section("logical")
             for pushdown in (True, False):
-                got = run_query(section, query, pushdown=pushdown)
+                got = query_trace(section, query, pushdown=pushdown)
                 assert got == expected, (label, pushdown, query)
 
 
@@ -157,7 +162,8 @@ def test_differential_logical(tmp_path, run, data):
 def test_differential_physical(tmp_path, run, data):
     spec, logical, physical = run
     query = data.draw(queries(_PHYSICAL_FIELDS))
-    expected = run_query(physical, query)
+    expected = oracle_query(physical, query)
+    assert query_trace(physical, query) == expected, ("memory", query)
     flavors = {
         "stats": export_run(tmp_path / "s.aptrc", physical=physical),
         "nostats": export_run(tmp_path / "n.aptrc", physical=physical,
@@ -167,7 +173,7 @@ def test_differential_physical(tmp_path, run, data):
         with Archive(path) as archive:
             section = archive.section("physical")
             for pushdown in (True, False):
-                got = run_query(section, query, pushdown=pushdown)
+                got = query_trace(section, query, pushdown=pushdown)
                 assert got == expected, (label, pushdown, query)
 
 
@@ -189,7 +195,7 @@ def test_pruning_skips_chunks_but_not_answers(tmp_path):
                 return _real(*args, **kw)
 
             archive._decode_chunk = counting
-            results[pushdown] = run_query(
+            results[pushdown] = query_trace(
                 archive.section("logical"),
                 "sends where src == 3 group by dst", pushdown=pushdown)
     assert results[True] == results[False]

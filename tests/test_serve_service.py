@@ -281,6 +281,34 @@ def test_push_retries_through_backpressure(tmp_path):
         assert len(client.runs()) == 6
 
 
+def test_rejected_upload_reads_429_after_broken_pipe(tmp_path):
+    # max_active=0: the gate answers 429 at admission, before reading a
+    # single body byte, and closes.  A client still streaming its body
+    # then hits EPIPE/ECONNRESET and must read the 429 instead of raising
+    config = ServerConfig(data_dir=tmp_path / "srv", port=0,
+                          allow_shutdown=True,
+                          ingest=IngestLimits(max_active=0,
+                                              retry_after=0.01))
+    total = 1024
+    sent = []
+
+    def chunks():
+        block = bytes(1 << 16)
+        for _ in range(total):  # 64 MiB: far beyond the socket buffers
+            sent.append(len(block))
+            yield block
+
+    with ServerThread(config) as server:
+        client = server.client()
+        status, headers, _ = client.request("POST", "/runs",
+                                            chunks=chunks())
+        assert status == 429 and float(headers["retry-after"]) > 0
+        assert len(sent) < total  # the close cut the upload short
+        with pytest.raises(Backpressure):
+            client.push(make_archive(tmp_path / "a.aptrc"), retries=2)
+        assert client.stats()["ingest"]["rejected_backpressure"] == 4
+
+
 def test_concurrent_ingest_storm_matches_serial_application(tmp_path):
     # acceptance criterion: after a concurrent storm the registry holds
     # exactly what serially registering the same archives would produce

@@ -4,13 +4,14 @@ import json
 
 import pytest
 
+import repro.api as api
 from repro.check.workloads import HistogramWorkload, TriangleWorkload
 from repro.core.cli import main
 from repro.core.report import whatif_report
 from repro.exec import ResultCache
 from repro.machine.spec import MachineSpec
 from repro.sim.faults import CrashFault, FaultPlan, SlowPE
-from repro.whatif import Scales, parse_scale, parse_sweep, run_whatif
+from repro.whatif import Scales, parse_scale, parse_sweep
 from repro.whatif.replay import CRASH_PLAN_ERROR
 
 
@@ -67,9 +68,9 @@ def test_cache_keys_distinguish_scale_points(tmp_path):
     """Two sweep points differing only in --scale must not collide."""
     cache = ResultCache(tmp_path / "cache")
     workload = _histogram()
-    first = run_whatif(workload, scale_sets=[Scales({"proc": 0.5})],
+    first = api.whatif(workload, scale_sets=[Scales({"proc": 0.5})],
                        cache=cache)
-    second = run_whatif(workload, scale_sets=[Scales({"proc": 0.25})],
+    second = api.whatif(workload, scale_sets=[Scales({"proc": 0.25})],
                         cache=cache)
     t1 = first["points"][0]["totals"]["t_total"]
     t2 = second["points"][0]["totals"]["t_total"]
@@ -83,8 +84,8 @@ def test_cache_hits_reproduce_cold_report(tmp_path):
     workload = _histogram()
     kwargs = dict(scale_sets=[Scales({"proc": 0.5})],
                   sweeps=[("net.latency", [0.5, 2.0])], cache=cache)
-    cold = run_whatif(workload, **kwargs)
-    warm = run_whatif(workload, **kwargs)
+    cold = api.whatif(workload, **kwargs)
+    warm = api.whatif(workload, **kwargs)
     assert cold == warm
     assert cache.stats.hits >= len(cold["points"])
 
@@ -93,8 +94,8 @@ def test_jobs_do_not_change_the_report():
     workload = _histogram()
     kwargs = dict(scale_sets=[Scales({"proc": 0.5})],
                   sweeps=[("net.bytes", [0.5])])
-    serial = run_whatif(workload, jobs=1, **kwargs)
-    fanned = run_whatif(workload, jobs=2, **kwargs)
+    serial = api.whatif(workload, jobs=1, **kwargs)
+    fanned = api.whatif(workload, jobs=2, **kwargs)
     assert serial == fanned
 
 
@@ -104,7 +105,7 @@ def test_jobs_do_not_change_the_report():
 
 def test_buffer_scale_replays_but_never_predicts():
     dag_out = []
-    report = run_whatif(_histogram(),
+    report = api.whatif(_histogram(),
                         scale_sets=[Scales({"buffer": 0.25})],
                         dag_out=dag_out)
     row = report["points"][0]
@@ -120,7 +121,7 @@ def test_buffer_scale_replays_but_never_predicts():
 
 def test_slow_pe_fault_lands_on_the_critical_path():
     plan = FaultPlan(slow_pes=(SlowPE(pe=2, multiplier=4.0),))
-    report = run_whatif(_histogram(), fault_plan=plan)
+    report = api.whatif(_histogram(), fault_plan=plan)
     by_pe = report["analysis"]["critical_path"]["by_pe"]
     assert by_pe and by_pe[0]["pe"] == 2, (
         f"slow PE 2 should dominate the critical path, got {by_pe}"
@@ -134,9 +135,9 @@ def test_slow_pe_fault_lands_on_the_critical_path():
 def test_crashing_fault_plans_are_rejected():
     plan = FaultPlan.single_crash(pe=1, at_cycle=500)
     with pytest.raises(ValueError, match="crash"):
-        run_whatif(_histogram(), fault_plan=plan)
+        api.whatif(_histogram(), fault_plan=plan)
     try:
-        run_whatif(_histogram(), fault_plan=plan)
+        api.whatif(_histogram(), fault_plan=plan)
     except ValueError as exc:
         assert str(exc) == CRASH_PLAN_ERROR
 
@@ -150,7 +151,7 @@ def test_cli_whatif_reports_and_replays(tmp_path, capsys):
     code = main(["whatif", "histogram", "--updates", "120",
                  "--table-size", "32", "--scale", "proc=0.5x",
                  "--sweep", "net.latency=0.5,2", "--jobs", "2",
-                 "--report", str(out)])
+                 "--out", str(out)])
     assert code == 0
     text = capsys.readouterr().out
     assert "critical path by category" in text
@@ -188,7 +189,7 @@ def test_cli_whatif_rejects_bad_jobs_and_factor(capsys):
 def test_triangle_acceptance_bar():
     workload = TriangleWorkload(scale=6, distribution="cyclic",
                                 machine=MachineSpec(2, 2), seed=0)
-    report = run_whatif(workload, scale_sets=[Scales({"proc": 0.5})])
+    report = api.whatif(workload, scale_sets=[Scales({"proc": 0.5})])
     cp = report["analysis"]["critical_path"]
     assert cp["by_mailbox"], "no mailbox ranked on the critical path"
     assert cp["top_edges"], "no transfer edge ranked on the critical path"
