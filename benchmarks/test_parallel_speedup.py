@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.check import HistogramWorkload, audit
+from repro.check import KernelWorkload, audit
 from repro.machine.spec import MachineSpec
 
 SCHEDULES = 8
@@ -26,8 +26,8 @@ JOBS = 4
 def workload():
     # Heavy enough that per-run compute dominates the ~100ms spawn cost
     # of each worker; the speedup floor below is meaningless otherwise.
-    return HistogramWorkload(updates=8_000, table_size=256,
-                             machine=MachineSpec(2, 2), seed=0)
+    return KernelWorkload("histogram", updates=8_000, table_size=256,
+                          machine=MachineSpec(2, 2), seed=0)
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < JOBS,

@@ -19,7 +19,7 @@ import json
 import time
 
 import repro.api as api
-from repro.check import HistogramWorkload
+from repro.check import KernelWorkload
 from repro.exec import ResultCache
 from repro.machine.spec import MachineSpec
 
@@ -28,8 +28,8 @@ SWEEPS = [("proc", [0.5, 2.0]), ("net.latency", [0.5, 1.0, 2.0])]
 
 
 def workload():
-    return HistogramWorkload(updates=800, table_size=64,
-                             machine=MachineSpec(2, 2), seed=0)
+    return KernelWorkload("histogram", updates=800, table_size=64,
+                          machine=MachineSpec(2, 2), seed=0)
 
 
 def test_whatif_sweep_throughput_and_cache(tmp_path, outdir):

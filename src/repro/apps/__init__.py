@@ -22,6 +22,10 @@ The workloads the paper profiles or motivates:
 
 Every application validates its answer against a serial reference,
 mirroring the paper's assertion-based validation.
+
+:mod:`~repro.apps.registry` declares the kernels the ``actorprof``
+tools (``run``, ``check``, ``whatif``) can run: their parameters and how
+to execute them.
 """
 
 from repro.apps.bfs import BFSResult, bfs

@@ -14,8 +14,9 @@ divergence as benign reordering or a confirmed nondeterminism bug.
 * :mod:`~repro.check.invariants` — the trace-invariant engine (send
   conservation, the T_TOTAL = T_MAIN + T_COMM + T_PROC identity, monotone
   clocks, archive/CSV equivalence),
-* :mod:`~repro.check.workloads` — auditable workloads: the two case
-  studies plus a generative random actor-program builder,
+* :mod:`~repro.check.workloads` — auditable workloads: every kernel of
+  :mod:`repro.apps.registry` plus a generative random actor-program
+  builder,
 * :mod:`~repro.check.auditor` — the differential audit loop and the
   machine-readable :class:`~repro.check.auditor.CheckReport`,
 * :mod:`~repro.check.parallel` — the per-schedule run recorder, shared
@@ -36,10 +37,9 @@ from repro.check.policies import (
 )
 from repro.check.workloads import (
     GeneratedWorkload,
-    HistogramWorkload,
+    KernelWorkload,
     ProgramSpec,
     RunArtifacts,
-    TriangleWorkload,
     Workload,
     generate_spec,
     workload_from_descriptor,
@@ -49,12 +49,11 @@ __all__ = [
     "CheckReport",
     "Divergence",
     "GeneratedWorkload",
-    "HistogramWorkload",
     "JitterPolicy",
+    "KernelWorkload",
     "PerturbedSchedule",
     "ProgramSpec",
     "RunArtifacts",
-    "TriangleWorkload",
     "Violation",
     "Workload",
     "audit",

@@ -1,8 +1,9 @@
 """Auditable workloads: the case studies plus a generative program builder.
 
 A :class:`Workload` is anything ActorCheck can re-execute under a
-:class:`~repro.check.policies.PerturbedSchedule` and fingerprint.  The two
-paper case studies (histogram, triangle counting) are wrapped directly;
+:class:`~repro.check.policies.PerturbedSchedule` and fingerprint.  Every
+kernel of :mod:`repro.apps.registry` (the paper's case studies:
+histogram, triangle counting) is one :class:`KernelWorkload`;
 :func:`generate_spec` additionally synthesizes random-but-*correct-by-
 construction* actor programs — random mailbox chains, handler forwarding
 rules, and message-size distributions whose every forwarding decision is a
@@ -30,6 +31,7 @@ from repro.check.policies import PerturbedSchedule
 from repro.conveyors.conveyor import ConveyorConfig
 from repro.core.flags import ProfileFlags
 from repro.core.profiler import ActorProf
+from repro.exec.cache import file_sha256
 from repro.hclib.actor import Selector
 from repro.hclib.world import RunResult, run_spmd
 from repro.machine.cost import CostModel
@@ -41,14 +43,6 @@ def fingerprint(data: Any) -> str:
     """Stable sha256 over a JSON-serializable result structure."""
     blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _file_sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 @dataclass
@@ -175,7 +169,7 @@ class Workload:
             profiler=profiler,
             run=run,
             archive_path=path,
-            archive_sha256=_file_sha256(path),
+            archive_sha256=file_sha256(path),
             receipts=receipts,
             received_per_pe=received,
             group_stats=_collect_group_stats(run),
@@ -183,72 +177,38 @@ class Workload:
         )
 
 
-class HistogramWorkload(Workload):
-    """The paper's Listing 1–2 histogram under audit."""
+class KernelWorkload(Workload):
+    """A kernel from :mod:`repro.apps.registry` under audit: the paper's
+    case studies (histogram, triangle counting) and any kernel
+    registered after them.
 
-    name = "histogram"
+    ``params`` are the kernel's parameters; missing ones take the
+    registry's audit defaults.
+    """
 
-    def __init__(self, updates: int = 400, table_size: int = 64,
-                 machine: MachineSpec | None = None, seed: int = 0,
-                 conveyor_config: ConveyorConfig | None = None) -> None:
+    def __init__(self, kernel: str, machine: MachineSpec | None = None,
+                 seed: int = 0, conveyor_config: ConveyorConfig | None = None,
+                 **params: Any) -> None:
+        from repro.apps.registry import KERNELS
+
+        if kernel not in KERNELS:
+            raise ValueError(f"unknown workload kind {kernel!r}")
         super().__init__(machine=machine or MachineSpec(2, 2), seed=seed,
                          conveyor_config=conveyor_config)
-        self.updates = updates
-        self.table_size = table_size
+        self.kernel = KERNELS[kernel]
+        self.name = kernel
+        self.params = self.kernel.resolve(params, "audit")
 
     def descriptor(self) -> dict:
-        return {"kind": "histogram", "updates": self.updates,
-                "table_size": self.table_size, **self._base_descriptor()}
+        return {"kind": self.name, **self.params, **self._base_descriptor()}
 
     def execute(self, schedule, profiler, config, cost=None):
-        from repro.apps.histogram import histogram
-
-        res = histogram(
-            self.updates, self.table_size, machine=self.machine,
+        out = self.kernel.execute(
+            self.params, machine=self.machine, seed=self.seed,
             profiler=profiler, conveyor_config=config, cost=cost,
-            seed=self.seed, schedule_policy=schedule.policy(),
-        )
-        data = {
-            "total": res.total_updates,
-            "received": list(res.per_pe_received),
-        }
-        return data, res.run, None, list(res.per_pe_received)
-
-
-class TriangleWorkload(Workload):
-    """The case-study triangle counter under audit."""
-
-    name = "triangle"
-
-    def __init__(self, scale: int = 6, distribution: str = "cyclic",
-                 machine: MachineSpec | None = None, seed: int = 0,
-                 conveyor_config: ConveyorConfig | None = None) -> None:
-        super().__init__(machine=machine or MachineSpec(2, 2), seed=seed,
-                         conveyor_config=conveyor_config)
-        self.scale = scale
-        self.distribution = distribution
-
-    def descriptor(self) -> dict:
-        return {"kind": "triangle", "scale": self.scale,
-                "distribution": self.distribution,
-                **self._base_descriptor()}
-
-    def execute(self, schedule, profiler, config, cost=None):
-        from repro.apps.triangle import count_triangles
-        from repro.experiments.casestudy import case_study_graph
-
-        graph = case_study_graph(self.scale, seed=self.seed)
-        res = count_triangles(
-            graph, self.machine, self.distribution, profiler=profiler,
-            conveyor_config=config, cost=cost, seed=self.seed,
             schedule_policy=schedule.policy(),
         )
-        data = {
-            "triangles": res.triangles,
-            "per_pe_counts": list(res.per_pe_counts),
-            "per_pe_sends": list(res.per_pe_sends),
-        }
-        return data, res.run, None, None
+        return out.data, out.run, None, out.received_per_pe
 
 
 # ----------------------------------------------------------------------
@@ -421,16 +381,6 @@ def workload_from_descriptor(data: dict) -> Workload:
     machine = MachineSpec(int(data["nodes"]), int(data["pes_per_node"]))
     seed = int(data["seed"])
     config = ConveyorConfig(**data["conveyor"])
-    if kind == "histogram":
-        return HistogramWorkload(
-            updates=int(data["updates"]), table_size=int(data["table_size"]),
-            machine=machine, seed=seed, conveyor_config=config,
-        )
-    if kind == "triangle":
-        return TriangleWorkload(
-            scale=int(data["scale"]), distribution=data["distribution"],
-            machine=machine, seed=seed, conveyor_config=config,
-        )
     if kind == "generated":
         fields = dict(data["spec"])
         fields["payload_words"] = tuple(fields["payload_words"])
@@ -438,4 +388,8 @@ def workload_from_descriptor(data: dict) -> Workload:
             ProgramSpec(**fields), machine=machine, seed=seed,
             name=data.get("name"), conveyor_config=config,
         )
-    raise ValueError(f"unknown workload kind {kind!r}")
+    params = {k: v for k, v in data.items()
+              if k not in ("kind", "nodes", "pes_per_node", "seed",
+                           "conveyor")}
+    return KernelWorkload(kind, machine=machine, seed=seed,
+                          conveyor_config=config, **params)

@@ -134,26 +134,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "runs":
-        return _runs_main(argv[1:])
-    if argv and argv[0] == "diff":
-        return _diff_main(argv[1:])
-    if argv and argv[0] == "faults":
-        return _faults_main(argv[1:])
-    if argv and argv[0] == "run":
-        return _run_main(argv[1:])
-    if argv and argv[0] == "check":
-        return _check_main(argv[1:])
-    if argv and argv[0] == "whatif":
-        return _whatif_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "push":
-        return _push_main(argv[1:])
-    if argv and argv[0] == "query":
-        return _query_main(argv[1:])
-    if argv and argv[0] == "viz":
-        return _viz_main(argv[1:])
+    commands = {"runs": _runs_main, "diff": _diff_main, "faults": _faults_main,
+                "run": _run_main, "check": _check_main, "whatif": _whatif_main,
+                "serve": _serve_main, "push": _push_main, "query": _query_main,
+                "viz": _viz_main}
+    if argv and argv[0] in commands:
+        return commands[argv[0]](argv[1:])
     args = build_parser().parse_args(argv)
     if not (args.logical or args.papi or args.overall or args.physical
             or args.timeline or args.query or args.export_archive):
@@ -585,20 +571,73 @@ def _faults_main(argv: list[str]) -> int:
 
 
 # ----------------------------------------------------------------------
-# `actorprof run` — execute a built-in app under the profiler
+# kernel parameters — `run`, `check` and `whatif` read them from the
+# registry (repro.apps.registry), which is imported only by these three
 # ----------------------------------------------------------------------
 
-#: Parameters `actorprof run --sweep` may vary, with their value parsers.
-_SWEEPABLE = {
-    "seed": int,
-    "updates": int,
-    "table_size": int,
-    "scale": int,
-    "nodes": int,
-    "pes_per_node": int,
-    "distribution": str,
-}
+#: `whatif` spells the R-MAT scale --scale-rmat: its --scale is the
+#: cost-scale flag.
+_WHATIF_RENAME = {"scale": "scale_rmat"}
 
+
+def _add_kernel_flags(parser, defaults: str, seed_help: str,
+                      rename: dict[str, str] | None = None) -> tuple[str, ...]:
+    """Add the machine flags and every registered kernel's parameter
+    flags with the registry's ``defaults`` set; return the kernel names.
+    ``rename`` gives a parameter another dest (and so another flag)."""
+    from repro.apps.registry import KERNELS, MACHINE_PARAMS
+
+    params = [("", p) for p in MACHINE_PARAMS]
+    params += [(f"{k.name}: ", p) for k in KERNELS.values() for p in k.params]
+    for prefix, p in params:
+        default = p.default(defaults)
+        text = seed_help if p.name == "seed" else p.help
+        flag = (rename or {}).get(p.name, p.name).replace("_", "-")
+        parser.add_argument(f"--{flag}", type=p.type, default=default,
+                            choices=p.choices,
+                            help=f"{prefix}{text} (default {default})")
+    return tuple(KERNELS)
+
+
+def _checked_point(args, kernel, plan, rename: dict[str, str] | None = None,
+                   overrides: dict | None = None) -> dict:
+    """One run's parameters: the machine's and ``kernel``'s (None: the
+    machine's only) from the command line, updated by ``overrides``,
+    checked against the registry's bounds, ``MachineSpec`` and the fault
+    plan before anything runs; ValueError with a one-line message."""
+    from repro.apps.registry import MACHINE_PARAMS, resolve_point
+
+    params = MACHINE_PARAMS + (kernel.params if kernel is not None else ())
+    values = {p.name: getattr(args, (rename or {}).get(p.name, p.name))
+              for p in params}
+    try:
+        point = resolve_point(kernel, {**values, **(overrides or {})})
+    except ValueError as exc:
+        raise ValueError(f"bad parameters: {exc}") from None
+    if plan is not None:
+        try:
+            plan.validate(point["nodes"] * point["pes_per_node"])
+        except ValueError as exc:
+            raise ValueError(
+                f"fault plan does not fit this machine: {exc}") from None
+    return point
+
+
+def _load_plan(path: Path | None):
+    """The fault plan at ``path`` (None: no plan); ValueError if bad."""
+    if path is None:
+        return None
+    from repro.sim.faults import FaultPlan
+
+    try:
+        return FaultPlan.load(path)
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"bad fault plan: {exc}") from None
+
+
+# ----------------------------------------------------------------------
+# `actorprof run` — execute a built-in app under the profiler
+# ----------------------------------------------------------------------
 
 def _run_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -607,23 +646,8 @@ def _run_parser() -> argparse.ArgumentParser:
                     "under a fault plan; traces are archived even when the "
                     "run dies (degraded archive, exit code 3)",
     )
-    parser.add_argument("app", choices=("histogram", "triangle"),
-                        help="which app to run")
-    parser.add_argument("--nodes", type=int, default=2,
-                        help="simulated nodes (default 2)")
-    parser.add_argument("--pes-per-node", type=int, default=2,
-                        help="PEs per node (default 2)")
-    parser.add_argument("--updates", type=int, default=2000,
-                        help="histogram: updates per PE (default 2000)")
-    parser.add_argument("--table-size", type=int, default=512,
-                        help="histogram: table slots per PE (default 512)")
-    parser.add_argument("--scale", type=int, default=8,
-                        help="triangle: R-MAT scale (default 8)")
-    parser.add_argument("--distribution", default="cyclic",
-                        choices=("cyclic", "range", "block"),
-                        help="triangle: row distribution (default cyclic)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="per-PE RNG seed (default 0)")
+    apps = _add_kernel_flags(parser, "run", "per-PE RNG seed")
+    parser.add_argument("app", choices=apps, help="which app to run")
     parser.add_argument("--fault-plan", type=Path, default=None,
                         metavar="PLAN.json",
                         help="inject the faults described in this plan "
@@ -638,7 +662,8 @@ def _run_parser() -> argparse.ArgumentParser:
                         metavar="PARAM=V1,V2,...",
                         help="sweep a parameter over several values "
                              "(repeatable; points are the cartesian "
-                             "product).  Sweepable: " + ", ".join(_SWEEPABLE))
+                             "product).  Sweepable: nodes, pes_per_node, "
+                             "seed and the app's own parameters")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="run sweep points across N worker processes "
                              "(default 1)")
@@ -649,35 +674,32 @@ def _run_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_sweeps(items: list[str]) -> dict[str, list]:
-    """Parse repeated ``--sweep PARAM=V1,V2,...`` into an ordered dict."""
+def _parse_sweeps(items: list[str], kernel) -> dict[str, list]:
+    """Parse repeated ``--sweep PARAM=V1,V2,...`` into an ordered dict;
+    the sweepable parameters are the machine's and ``kernel``'s."""
+    from repro.apps.registry import MACHINE_PARAMS
+
+    sweepable = {p.name: p for p in MACHINE_PARAMS + kernel.params}
     sweeps: dict[str, list] = {}
     for item in items:
         name, sep, values_text = item.partition("=")
         name = name.strip().lower()
         if not sep or not values_text:
             raise ValueError(f"bad --sweep {item!r}: use PARAM=V1,V2,...")
-        if name not in _SWEEPABLE:
+        if name not in sweepable:
             raise ValueError(f"cannot sweep {name!r}; sweepable parameters "
-                             f"are {', '.join(_SWEEPABLE)}")
+                             f"for {kernel.name} are {', '.join(sweepable)}")
         if name in sweeps:
             raise ValueError(f"--sweep {name} given twice")
-        parse = _SWEEPABLE[name]
         try:
-            values = [parse(v.strip()) for v in values_text.split(",")]
-        except ValueError:
-            raise ValueError(f"bad --sweep {item!r}: {name} wants "
-                             f"{parse.__name__} values") from None
-        if name == "distribution":
-            for v in values:
-                if v not in ("cyclic", "range", "block"):
-                    raise ValueError(f"bad --sweep distribution value {v!r}: "
-                                     "want cyclic, range, or block")
-        sweeps[name] = values
+            sweeps[name] = [sweepable[name].check(v.strip())
+                            for v in values_text.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"bad --sweep {item!r}: {exc}") from None
     return sweeps
 
 
-def _run_sweep(args, plan) -> int:
+def _run_sweep(args, kernel, plan) -> int:
     """Execute the cartesian sweep through the :mod:`repro.exec` engine."""
     import itertools
     import json
@@ -685,7 +707,7 @@ def _run_sweep(args, plan) -> int:
     from repro.exec import RunSpec, execute
 
     try:
-        sweeps = _parse_sweeps(args.sweep)
+        sweeps = _parse_sweeps(args.sweep, kernel)
     except ValueError as exc:
         print(f"bad sweep: {exc}", file=sys.stderr)
         return 2
@@ -693,26 +715,21 @@ def _run_sweep(args, plan) -> int:
         print(f"--jobs must be >= 1: {args.jobs}", file=sys.stderr)
         return 2
 
-    base = {
-        "app": args.app,
-        "nodes": args.nodes,
-        "pes_per_node": args.pes_per_node,
-        "updates": args.updates,
-        "table_size": args.table_size,
-        "scale": args.scale,
-        "distribution": args.distribution,
-        "seed": args.seed,
-        "fault_plan": plan.to_dict() if plan is not None else None,
-    }
     out_dir = args.export_archive  # a *directory* in sweep mode
+    fault_plan = plan.to_dict() if plan is not None else None
     specs = []
     names = list(sweeps)
     for index, combo in enumerate(itertools.product(*sweeps.values())):
         point = dict(zip(names, combo))
         tag = "-".join(f"{n}{v}" for n, v in point.items())
-        kwargs = dict(base, **point)
+        try:
+            kwargs = _checked_point(args, kernel, plan, overrides=point)
+        except ValueError as exc:
+            print(f"bad sweep point {tag}: {exc}", file=sys.stderr)
+            return 2
+        kwargs.update(app=kernel.name, fault_plan=fault_plan)
         if out_dir is not None:
-            kwargs["archive_name"] = f"{args.app}-{tag}.aptrc"
+            kwargs["archive_name"] = f"{kernel.name}-{tag}.aptrc"
         specs.append(RunSpec(
             index=index, fn="repro.exec.apptask:run_app_point",
             kwargs=kwargs, tag=tag,
@@ -727,7 +744,7 @@ def _run_sweep(args, plan) -> int:
         if rec.ok:
             point = dict(rec.value)
         else:  # a worker died or raised: a per-point failure record
-            point = {"app": args.app, "summary": "", "exit_code": 1,
+            point = {"app": kernel.name, "summary": "", "exit_code": 1,
                      "error": rec.error, "archive": None,
                      "archive_sha256": None, "artifacts": []}
         point["tag"] = rec.tag
@@ -752,7 +769,7 @@ def _run_sweep(args, plan) -> int:
         # no job count in the payload: the report's bytes must not
         # depend on how the sweep was parallelized
         payload = {
-            "app": args.app,
+            "app": kernel.name,
             "sweep": {n: list(v) for n, v in sweeps.items()},
             "exit_code": exit_code,
             "exit_codes": exit_codes,
@@ -765,87 +782,39 @@ def _run_sweep(args, plan) -> int:
 
 
 def _run_main(argv: list[str]) -> int:
-    import contextlib
-
-    from repro.core.profiler import ActorProf
-    from repro.machine.spec import MachineSpec
-    from repro.sim.errors import SimulationError
-    from repro.sim.faults import FaultPlan, use_plan
+    from repro.apps.registry import KERNELS
+    from repro.exec.apptask import run_app_point
 
     args = _run_parser().parse_args(argv)
+    kernel = KERNELS[args.app]
     try:
-        plan = (FaultPlan.load(args.fault_plan)
-                if args.fault_plan is not None else None)
+        plan = _load_plan(args.fault_plan)
+        if args.sweep:
+            # every point is checked before the first one runs
+            return _run_sweep(args, kernel, plan)
+        point = _checked_point(args, kernel, plan)
     except ValueError as exc:
-        print(f"bad fault plan: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 2
-    if args.sweep:
-        # machine validation is per-point (nodes/pes_per_node may sweep)
-        return _run_sweep(args, plan)
-    spec = MachineSpec(args.nodes, args.pes_per_node)
-    if plan is not None:
-        try:
-            plan.validate(spec.n_pes)
-        except ValueError as exc:
-            print(f"fault plan does not fit this machine: {exc}",
-                  file=sys.stderr)
-            return 2
-    from repro.core.flags import ProfileFlags
-
-    # the timeline feeds the LOD pyramid, so `actorprof viz` gets
-    # time-resolved (zoomable) views of archives made by `actorprof run`
-    profiler = ActorProf(ProfileFlags.all(enable_timeline=True))
-    meta = {"app": args.app, "seed": args.seed}
-    if plan is not None:
-        meta["fault_plan"] = plan.to_dict()
-    scope = use_plan(plan) if plan is not None else contextlib.nullcontext()
-    failure: BaseException | None = None
-    summary = ""
+    path = args.export_archive
     try:
-        with scope:
-            if args.app == "histogram":
-                from repro.apps.histogram import histogram
-
-                res = histogram(
-                    args.updates, args.table_size, machine=spec,
-                    profiler=profiler, seed=args.seed,
-                )
-                summary = (f"histogram: {res.total_updates:,} "
-                           f"updates delivered")
-                meta.update(updates=args.updates, table_size=args.table_size)
-            else:
-                from repro.apps.triangle import count_triangles
-                from repro.experiments.casestudy import case_study_graph
-
-                graph = case_study_graph(args.scale, seed=args.seed)
-                res = count_triangles(
-                    graph, spec, args.distribution, profiler=profiler,
-                    seed=args.seed,
-                )
-                summary = f"triangle: {res.triangles:,} triangles"
-                meta.update(scale=args.scale, distribution=args.distribution)
-    except SimulationError as exc:
-        failure = exc
-    if failure is None:
-        print(f"{summary} on {spec.nodes}x{spec.pes_per_node} PEs "
-              f"(seed {args.seed})")
-        if args.export_archive is not None:
-            path = profiler.export_archive(args.export_archive, meta=meta,
-                                           lod=True)
+        outcome = run_app_point(
+            path.parent if path is not None else Path("."), app=kernel.name,
+            fault_plan=plan.to_dict() if plan is not None else None,
+            archive_name=path.name if path is not None else None, **point)
+    except (ValueError, OSError) as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
+    if outcome["exit_code"] == 0:
+        print(f"{outcome['summary']} on {point['nodes']}x"
+              f"{point['pes_per_node']} PEs (seed {point['seed']})")
+        if path is not None:
             print(f"archived traces → {path} ({path.stat().st_size:,} bytes)")
         return 0
-    first_line = str(failure).splitlines()[0]
-    print(f"run failed: {type(failure).__name__}: {first_line}",
-          file=sys.stderr)
-    if args.export_archive is None:
+    print(f"run failed: {outcome['error']}", file=sys.stderr)
+    if path is None:
         print("no --export-archive given; traces were not salvaged",
               file=sys.stderr)
-        return 1
-    try:
-        path = profiler.salvage_archive(args.export_archive, failure=failure,
-                                        meta=meta, lod=True)
-    except (ValueError, OSError) as exc:
-        print(f"salvage failed: {exc}", file=sys.stderr)
         return 1
     print(f"salvaged degraded traces → {path} "
           f"({path.stat().st_size:,} bytes)", file=sys.stderr)
@@ -853,8 +822,31 @@ def _run_main(argv: list[str]) -> int:
 
 
 # ----------------------------------------------------------------------
-# `actorprof check` — the ActorCheck determinism auditor
+# `actorprof check` / `actorprof whatif` — the workload they audit
 # ----------------------------------------------------------------------
+
+def _audit_inputs(args, programs: range,
+                  rename: dict[str, str] | None = None) -> tuple[list, object]:
+    """The workload(s) and fault plan ``check``/``whatif`` audit: the
+    registered kernel ``args.workload``, or one generated program per
+    index in ``programs``.  ValueError with a one-line message if a
+    parameter or the plan is bad."""
+    from repro.apps.registry import KERNELS
+    from repro.check import GeneratedWorkload, KernelWorkload, generate_spec
+    from repro.machine.spec import MachineSpec
+
+    kernel = KERNELS.get(args.workload)  # None: generated programs
+    plan = _load_plan(args.fault_plan)
+    point = _checked_point(args, kernel, plan, rename)
+    machine = MachineSpec(point.pop("nodes"), point.pop("pes_per_node"))
+    seed = point.pop("seed")
+    if kernel is not None:
+        return [KernelWorkload(kernel.name, machine=machine, seed=seed,
+                               **point)], plan
+    return [GeneratedWorkload(generate_spec(seed, i), machine=machine,
+                              seed=seed, name=f"generated-{i}")
+            for i in programs], plan
+
 
 def _check_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -867,28 +859,14 @@ def _check_parser() -> argparse.ArgumentParser:
                     "5 = invariant violation, 6 = a run failed or its "
                     "worker died.",
     )
-    parser.add_argument("workload", choices=("histogram", "triangle",
-                                             "generated"),
+    kernels = _add_kernel_flags(
+        parser, "audit",
+        "root seed for the workload AND the schedule jitter streams")
+    parser.add_argument("workload", choices=(*kernels, "generated"),
                         help="which workload to audit")
     parser.add_argument("--schedules", type=int, default=8, metavar="K",
                         help="number of perturbed schedules (default 8; "
                              "schedule 0 is the default policy)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="root seed for the workload AND the schedule "
-                             "jitter streams (default 0)")
-    parser.add_argument("--nodes", type=int, default=2,
-                        help="simulated nodes (default 2)")
-    parser.add_argument("--pes-per-node", type=int, default=2,
-                        help="PEs per node (default 2)")
-    parser.add_argument("--updates", type=int, default=400,
-                        help="histogram: updates per PE (default 400)")
-    parser.add_argument("--table-size", type=int, default=64,
-                        help="histogram: table slots per PE (default 64)")
-    parser.add_argument("--scale", type=int, default=6,
-                        help="triangle: R-MAT scale (default 6)")
-    parser.add_argument("--distribution", default="cyclic",
-                        choices=("cyclic", "range", "block"),
-                        help="triangle: row distribution (default cyclic)")
     parser.add_argument("--programs", type=int, default=2, metavar="N",
                         help="generated: audit N random actor programs "
                              "(default 2)")
@@ -923,14 +901,7 @@ def _check_parser() -> argparse.ArgumentParser:
 def _check_main(argv: list[str]) -> int:
     import json
 
-    from repro.check import (
-        GeneratedWorkload,
-        HistogramWorkload,
-        TriangleWorkload,
-        audit,
-        generate_spec,
-    )
-    from repro.machine.spec import MachineSpec
+    from repro.check import audit
 
     args = _check_parser().parse_args(argv)
     if args.schedules < 1:
@@ -939,33 +910,11 @@ def _check_main(argv: list[str]) -> int:
     if args.jobs < 1:
         print(f"--jobs must be >= 1: {args.jobs}", file=sys.stderr)
         return 2
-    fault_plan = None
-    if args.fault_plan is not None:
-        from repro.sim.faults import FaultPlan
-
-        try:
-            fault_plan = FaultPlan.load(args.fault_plan)
-        except (ValueError, OSError) as exc:
-            print(f"bad fault plan: {exc}", file=sys.stderr)
-            return 2
-    spec = MachineSpec(args.nodes, args.pes_per_node)
-    workloads = []
-    if args.workload == "histogram":
-        workloads.append(HistogramWorkload(
-            updates=args.updates, table_size=args.table_size,
-            machine=spec, seed=args.seed,
-        ))
-    elif args.workload == "triangle":
-        workloads.append(TriangleWorkload(
-            scale=args.scale, distribution=args.distribution,
-            machine=spec, seed=args.seed,
-        ))
-    else:
-        for i in range(args.programs):
-            workloads.append(GeneratedWorkload(
-                generate_spec(args.seed, i), machine=spec, seed=args.seed,
-                name=f"generated-{i}",
-            ))
+    try:
+        workloads, fault_plan = _audit_inputs(args, range(args.programs))
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     reports = []
     try:
         for workload in workloads:
@@ -1034,24 +983,10 @@ def _whatif_parser() -> argparse.ArgumentParser:
                     "proc=0.5x means PROC work runs twice as fast. "
                     "Exit 0 = ok, 2 = bad arguments, 6 = a replay failed.",
     )
-    parser.add_argument("workload", choices=("histogram", "triangle",
-                                             "generated"),
+    kernels = _add_kernel_flags(parser, "audit", "workload seed",
+                                rename=_WHATIF_RENAME)
+    parser.add_argument("workload", choices=(*kernels, "generated"),
                         help="which workload to analyze")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="workload seed (default 0)")
-    parser.add_argument("--nodes", type=int, default=2,
-                        help="simulated nodes (default 2)")
-    parser.add_argument("--pes-per-node", type=int, default=2,
-                        help="PEs per node (default 2)")
-    parser.add_argument("--updates", type=int, default=400,
-                        help="histogram: updates per PE (default 400)")
-    parser.add_argument("--table-size", type=int, default=64,
-                        help="histogram: table slots per PE (default 64)")
-    parser.add_argument("--scale-rmat", type=int, default=6, metavar="S",
-                        help="triangle: R-MAT scale (default 6)")
-    parser.add_argument("--distribution", default="cyclic",
-                        choices=("cyclic", "range", "block"),
-                        help="triangle: row distribution (default cyclic)")
     parser.add_argument("--program", type=int, default=0, metavar="N",
                         help="generated: which generated program (default 0)")
     parser.add_argument("--scale", action="append", default=[],
@@ -1093,15 +1028,8 @@ def _whatif_parser() -> argparse.ArgumentParser:
 def _whatif_main(argv: list[str]) -> int:
     import json
 
-    from repro.check import (
-        GeneratedWorkload,
-        HistogramWorkload,
-        TriangleWorkload,
-        generate_spec,
-    )
     import repro.api as api
     from repro.core.report import whatif_report
-    from repro.machine.spec import MachineSpec
     from repro.whatif import Scales, parse_sweep
 
     args = _whatif_parser().parse_args(argv)
@@ -1122,31 +1050,12 @@ def _whatif_main(argv: list[str]) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    fault_plan = None
-    if args.fault_plan is not None:
-        from repro.sim.faults import FaultPlan
-
-        try:
-            fault_plan = FaultPlan.load(args.fault_plan)
-        except (ValueError, OSError) as exc:
-            print(f"bad fault plan: {exc}", file=sys.stderr)
-            return 2
-    spec = MachineSpec(args.nodes, args.pes_per_node)
-    if args.workload == "histogram":
-        workload = HistogramWorkload(
-            updates=args.updates, table_size=args.table_size,
-            machine=spec, seed=args.seed,
-        )
-    elif args.workload == "triangle":
-        workload = TriangleWorkload(
-            scale=args.scale_rmat, distribution=args.distribution,
-            machine=spec, seed=args.seed,
-        )
-    else:
-        workload = GeneratedWorkload(
-            generate_spec(args.seed, args.program), machine=spec,
-            seed=args.seed, name=f"generated-{args.program}",
-        )
+    try:
+        (workload,), fault_plan = _audit_inputs(
+            args, range(args.program, args.program + 1), _WHATIF_RENAME)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     try:
         report = api.whatif(
             workload,

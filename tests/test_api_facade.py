@@ -133,13 +133,13 @@ def test_run_diff_accepts_run_objects():
 # ----------------------------------------------------------------------
 
 def test_facade_whatif_matches_legacy():
-    from repro.check.workloads import HistogramWorkload
+    from repro.check.workloads import KernelWorkload
     from repro.machine.spec import MachineSpec
     from repro.whatif.engine import _run_whatif
 
     def workload():
-        return HistogramWorkload(updates=150, table_size=32,
-                                 machine=MachineSpec(2, 2), seed=0)
+        return KernelWorkload("histogram", updates=150, table_size=32,
+                              machine=MachineSpec(2, 2), seed=0)
 
     core = _run_whatif(workload())
     with warnings.catch_warnings():
@@ -149,14 +149,14 @@ def test_facade_whatif_matches_legacy():
 
 
 def test_run_whatif_requires_matching_workload():
-    from repro.check.workloads import TriangleWorkload
+    from repro.check.workloads import KernelWorkload
     from repro.machine.spec import MachineSpec
 
     with api.open_run(HIST) as run:
         with pytest.raises(ValueError, match="workload"):
             run.whatif()  # archives don't carry a replayable descriptor
-        mismatched = TriangleWorkload(scale=6, distribution="cyclic",
-                                      machine=MachineSpec(2, 2), seed=0)
+        mismatched = KernelWorkload("triangle", scale=6, distribution="cyclic",
+                                    machine=MachineSpec(2, 2), seed=0)
         with pytest.raises(ValueError, match="histogram"):
             run.whatif(mismatched)
 

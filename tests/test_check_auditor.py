@@ -7,15 +7,15 @@ multi-schedule audit, and a planted handler-order race is flagged as
 
 import pytest
 
-from repro.check import HistogramWorkload, audit
+from repro.check import KernelWorkload, audit
 from repro.check.workloads import GeneratedWorkload, ProgramSpec
 from repro.machine.spec import MachineSpec
 from repro.sim.faults import EdgeFault, FaultPlan
 
 
 def _small_histogram(seed=0):
-    return HistogramWorkload(updates=120, table_size=16,
-                             machine=MachineSpec(1, 4), seed=seed)
+    return KernelWorkload("histogram", updates=120, table_size=16,
+                          machine=MachineSpec(1, 4), seed=seed)
 
 
 def _racy_workload(seed=0):

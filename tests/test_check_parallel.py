@@ -12,15 +12,16 @@ import json
 
 import pytest
 
-from repro.check import HistogramWorkload, audit, workload_from_descriptor
+from repro.apps.registry import KERNELS
+from repro.check import KernelWorkload, audit, workload_from_descriptor
 from repro.check.parallel import run_audit_schedule
 from repro.core.cli import main
 from repro.machine.spec import MachineSpec
 
 
 def small_workload(seed):
-    return HistogramWorkload(updates=60, table_size=16,
-                             machine=MachineSpec(1, 4), seed=seed)
+    return KernelWorkload("histogram", updates=60, table_size=16,
+                          machine=MachineSpec(1, 4), seed=seed)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 123])
@@ -40,10 +41,11 @@ def test_jobs_parallel_audit_is_byte_identical(seed, tmp_path):
                 == (tmp_path / "pooled" / tag).read_bytes())
 
 
-def test_worker_descriptor_round_trip_matches_live_run(tmp_path):
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_worker_descriptor_round_trip_matches_live_run(kernel, tmp_path):
     """run_audit_schedule (the spawned-worker entry) rebuilt from a
     descriptor produces the same fingerprints as the live workload."""
-    wl = small_workload(3)
+    wl = KernelWorkload(kernel, machine=MachineSpec(1, 4), seed=3)
     rebuilt = workload_from_descriptor(wl.descriptor())
     rec = run_audit_schedule(tmp_path, workload=wl.descriptor(),
                              schedule_index=0, schedules=2, tag="s0",

@@ -6,7 +6,7 @@ import pytest
 from repro.check.policies import make_schedules
 from repro.check.workloads import (
     GeneratedWorkload,
-    HistogramWorkload,
+    KernelWorkload,
     ProgramSpec,
     generate_spec,
 )
@@ -98,8 +98,8 @@ def test_generated_workload_is_reproducible(default_schedule, tmp_path):
 
 
 def test_histogram_workload_conserves_updates(default_schedule, tmp_path):
-    wl = HistogramWorkload(updates=120, table_size=16,
-                           machine=MachineSpec(1, 4), seed=1)
+    wl = KernelWorkload("histogram", updates=120, table_size=16,
+                        machine=MachineSpec(1, 4), seed=1)
     art = wl.run(default_schedule, tmp_path / "hist.aptrc")
     assert sum(art.received_per_pe) == 120 * 4
     assert art.archive_path.exists()
@@ -111,8 +111,8 @@ def test_default_schedule_matches_bare_run(default_schedule, tmp_path):
     from repro.core.flags import ProfileFlags
     from repro.core.profiler import ActorProf
 
-    wl = HistogramWorkload(updates=120, table_size=16,
-                           machine=MachineSpec(1, 4), seed=1)
+    wl = KernelWorkload("histogram", updates=120, table_size=16,
+                        machine=MachineSpec(1, 4), seed=1)
     art = wl.run(default_schedule, tmp_path / "seamed.aptrc")
 
     profiler = ActorProf(ProfileFlags.all())
@@ -125,6 +125,6 @@ def test_default_schedule_matches_bare_run(default_schedule, tmp_path):
 
 def test_buffer_override_changes_config(tmp_path):
     plans = make_schedules(0, 3)
-    wl = HistogramWorkload(machine=MachineSpec(1, 2))
+    wl = KernelWorkload("histogram", machine=MachineSpec(1, 2))
     assert wl._config_for(plans[0]).buffer_items == wl.base_config.buffer_items
     assert wl._config_for(plans[2]).buffer_items == plans[2].buffer_items

@@ -8,6 +8,8 @@ from repro.core.cli import main
 
 BASE = ["run", "histogram", "--nodes", "1", "--pes-per-node", "4",
         "--updates", "100", "--table-size", "32"]
+TRIANGLE_BASE = ["run", "triangle", "--nodes", "1", "--pes-per-node", "4",
+                 "--scale", "5"]
 
 
 def test_sweep_runs_cartesian_product(tmp_path, capsys):
@@ -53,10 +55,15 @@ def test_sweep_without_archive_dir(capsys):
     assert out.count("updates delivered") == 2
 
 
-def test_sweep_rejects_unknown_parameter(capsys):
-    rc = main([*BASE, "--sweep", "bogus=1,2"])
+@pytest.mark.parametrize("base,name", [
+    (BASE, "bogus"),
+    (BASE, "scale"),  # a triangle parameter
+    (TRIANGLE_BASE, "updates"),  # a histogram parameter
+], ids=["bogus", "histogram-scale", "triangle-updates"])
+def test_sweep_rejects_unknown_parameter(base, name, capsys):
+    rc = main([*base, "--sweep", f"{name}=1,2"])
     assert rc == 2
-    assert "cannot sweep 'bogus'" in capsys.readouterr().err
+    assert f"cannot sweep {name!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad,fragment", [
@@ -66,9 +73,24 @@ def test_sweep_rejects_unknown_parameter(capsys):
     ("distribution=diagonal", "cyclic, range, or block"),
 ])
 def test_sweep_rejects_malformed_specs(bad, fragment, capsys):
-    rc = main([*BASE, "--sweep", bad])
+    # distribution is a triangle parameter; histogram cannot sweep it
+    base = TRIANGLE_BASE if bad.startswith("distribution") else BASE
+    rc = main([*base, "--sweep", bad])
     assert rc == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base,app", [(BASE, "histogram"),
+                                      (TRIANGLE_BASE, "triangle")],
+                         ids=["histogram", "triangle"])
+def test_one_point_sweep_archive_matches_single_run(base, app, tmp_path):
+    """A sweep point runs the same code path as the single run of that
+    point, so both write the same archive bytes."""
+    single = tmp_path / "one.aptrc"
+    assert main([*base, "-o", str(single)]) == 0
+    assert main([*base, "--sweep", "seed=0", "-o", str(tmp_path / "sw")]) == 0
+    swept = tmp_path / "sw" / f"{app}-seed0.aptrc"
+    assert swept.read_bytes() == single.read_bytes()
 
 
 def test_sweep_rejects_duplicate_parameter(capsys):

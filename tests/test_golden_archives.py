@@ -23,16 +23,18 @@ from pathlib import Path
 import pytest
 
 from repro.check.policies import make_schedules
-from repro.check.workloads import HistogramWorkload, TriangleWorkload
+from repro.check.workloads import KernelWorkload
 from repro.machine.spec import MachineSpec
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 #: name -> workload factory; every golden archive is schedule 0, seed 0.
 GOLDEN_WORKLOADS = {
-    "histogram": lambda: HistogramWorkload(
+    "histogram": lambda: KernelWorkload(
+        "histogram",
         updates=200, table_size=32, machine=MachineSpec(2, 2), seed=0),
-    "triangle": lambda: TriangleWorkload(
+    "triangle": lambda: KernelWorkload(
+        "triangle",
         scale=6, distribution="cyclic", machine=MachineSpec(2, 2), seed=0),
 }
 

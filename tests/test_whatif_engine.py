@@ -5,7 +5,7 @@ import json
 import pytest
 
 import repro.api as api
-from repro.check.workloads import HistogramWorkload, TriangleWorkload
+from repro.check.workloads import KernelWorkload
 from repro.core.cli import main
 from repro.core.report import whatif_report
 from repro.exec import ResultCache
@@ -20,7 +20,7 @@ def _histogram(**kw):
     kw.setdefault("table_size", 32)
     kw.setdefault("machine", MachineSpec(2, 2))
     kw.setdefault("seed", 0)
-    return HistogramWorkload(**kw)
+    return KernelWorkload("histogram", **kw)
 
 
 # ----------------------------------------------------------------------
@@ -187,8 +187,8 @@ def test_cli_whatif_rejects_bad_jobs_and_factor(capsys):
 # ----------------------------------------------------------------------
 
 def test_triangle_acceptance_bar():
-    workload = TriangleWorkload(scale=6, distribution="cyclic",
-                                machine=MachineSpec(2, 2), seed=0)
+    workload = KernelWorkload("triangle", scale=6, distribution="cyclic",
+                              machine=MachineSpec(2, 2), seed=0)
     report = api.whatif(workload, scale_sets=[Scales({"proc": 0.5})])
     cp = report["analysis"]["critical_path"]
     assert cp["by_mailbox"], "no mailbox ranked on the critical path"

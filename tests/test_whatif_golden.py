@@ -19,16 +19,18 @@ from pathlib import Path
 import pytest
 
 import repro.api as api
-from repro.check.workloads import HistogramWorkload, TriangleWorkload
+from repro.check.workloads import KernelWorkload
 from repro.machine.spec import MachineSpec
 from repro.whatif import Scales
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 GOLDEN_WORKLOADS = {
-    "whatif_histogram": lambda: HistogramWorkload(
+    "whatif_histogram": lambda: KernelWorkload(
+        "histogram",
         updates=200, table_size=32, machine=MachineSpec(2, 2), seed=0),
-    "whatif_triangle": lambda: TriangleWorkload(
+    "whatif_triangle": lambda: KernelWorkload(
+        "triangle",
         scale=6, distribution="cyclic", machine=MachineSpec(2, 2), seed=0),
 }
 
