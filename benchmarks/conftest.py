@@ -10,8 +10,14 @@ Artifacts (SVG charts, text series) land in ``benchmarks/output/``.
 
 from __future__ import annotations
 
+import hashlib
+import os
+import platform
+import statistics
+import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.experiments import run_case_study
@@ -56,3 +62,35 @@ def once(benchmark, fn):
     The simulations are deterministic, so repeated rounds only cost time.
     """
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def bench_header() -> dict:
+    """Metadata header of one measured case in a ``BENCH_*.json`` file:
+    which code ran where, with which interpreter and numpy.  ``commit``
+    ends in ``-dirty`` when the tree had uncommitted changes, and
+    ``src_sha256`` names the exact sources either way.  Each case also
+    records its own ``reps`` next to its min/median/max."""
+    root = Path(__file__).resolve().parent.parent
+    commit = "unknown"
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=root, capture_output=True, text=True, timeout=10)
+        if out.returncode == 0:
+            commit = out.stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        pass
+    digest = hashlib.sha256()
+    for path in sorted((root / "src").rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(path.read_bytes())
+    return {"commit": commit, "src_sha256": digest.hexdigest(),
+            "host": platform.node(), "machine": platform.machine(),
+            "nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__}
+
+
+def spread(samples: list[float]) -> dict:
+    """min/median/max of repeated measurements."""
+    return {"min": min(samples), "median": statistics.median(samples),
+            "max": max(samples)}

@@ -19,7 +19,14 @@ today).  Acceptance bars asserted here:
 * LOD render time is ~flat across trace sizes (<= 3x from 250k to 1M)
   while the full decode grows with the row count.
 
-Numbers land in ``benchmarks/output/BENCH_viz_lod.json``.
+A second case renders a wide machine: a 256-PE synthetic pyramid,
+whose gantt (O(n_pes * res) rects) and heatmap (O(n_pes^2) cells)
+views are timed through ``run.viz`` — the cost that grows with PE count
+rather than trace size.
+
+Numbers land in ``benchmarks/output/BENCH_viz_lod.json``, one key per
+case (``trace_size``, ``wide_machine``), each under its own metadata
+header (commit, src sha256, host, nproc, Python/numpy) with its reps.
 
 Run with::
 
@@ -33,17 +40,22 @@ import time
 
 import numpy as np
 
+from conftest import bench_header, spread
+
 import repro.api as api
 from repro.core.store.archive import Archive
 from repro.core.store.frame import Frame, scatter_matrix
-from repro.core.store.lod import backfill_pyramid
+from repro.core.store.lod import backfill_pyramid, build_pyramid, write_pyramid
 from repro.core.store.writer import ArchiveWriter
+from repro.core.timeline import TimelineTrace
 from repro.core.viz import heatmap_svg
 
 N_PES = 32
 SIZES = [250_000, 500_000, 1_000_000]
 SPEEDUP_BAR = 20.0
 FLATNESS_BAR = 3.0
+WIDE_PES = 256
+WIDE_REPS = 5
 
 
 def build_archive(path, n_rows):
@@ -70,6 +82,68 @@ def build_archive(path, n_rows):
             "t_total": np.full(N_PES, 10_000, dtype=np.int64),
         }, attrs={"n_pes": N_PES})
     return path
+
+
+def write_bench(outdir, case, row):
+    """Store one measured case in BENCH_viz_lod.json under its own
+    metadata header, keeping the other cases (and their headers) as
+    they were, so rerunning one case never relabels another."""
+    out = outdir / "BENCH_viz_lod.json"
+    try:
+        payload = json.loads(out.read_text())
+    except (OSError, ValueError):
+        payload = {}
+    payload[case] = {"header": bench_header(), **row}
+    out.write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def build_wide_archive(path, n_pes=WIDE_PES, horizon=400_000):
+    """An archive holding only a time-resolved pyramid for ``n_pes``
+    PEs: seeded MAIN/PROC bursts under one FINISH span per PE, and a
+    seeded message stream between random PE pairs."""
+    rng = np.random.default_rng(n_pes)
+    timeline = TimelineTrace(n_pes)
+    for pe in range(n_pes):
+        timeline.add_span(pe, "FINISH", 0, horizon)
+        starts = np.sort(rng.integers(0, horizon - 4000, size=48)).tolist()
+        lengths = rng.integers(20, 4000, size=48).tolist()
+        for i, (start, length) in enumerate(zip(starts, lengths)):
+            timeline.add_span(pe, "PROC" if i % 3 == 0 else "MAIN",
+                              start, start + length)
+    n_msgs = 16 * n_pes
+    for t, src, dst in zip(rng.integers(0, horizon, n_msgs).tolist(),
+                           rng.integers(0, n_pes, n_msgs).tolist(),
+                           rng.integers(0, n_pes, n_msgs).tolist()):
+        timeline.add_net_event(t, "nonblock_send", src, dst, 64)
+    meta = {"nodes": n_pes // 4, "pes_per_node": 4, "n_pes": n_pes}
+    with ArchiveWriter(path, meta=meta) as writer:
+        write_pyramid(writer, build_pyramid(timeline))
+    return path
+
+
+def test_wide_machine_render(tmp_path, outdir):
+    """The views whose size grows with the PE count, at 256 PEs."""
+    path = build_wide_archive(tmp_path / "wide.aptrc")
+    views = {}
+    with api.open_run(path) as run:
+        for view in ("heatmap", "gantt"):
+            samples, svg = [], ""
+            for _ in range(WIDE_REPS):
+                t0 = time.perf_counter()
+                svg = run.viz(view)
+                samples.append((time.perf_counter() - t0) * 1e3)
+            assert svg.startswith("<?xml") and svg.endswith("</svg>\n")
+            assert f"PE{WIDE_PES - 1}" in svg
+            views[view] = {"render_ms": spread(samples),
+                           "svg_bytes": len(svg.encode())}
+        touched = {section for section, _ in run.archive.decoded_columns}
+    assert touched <= {"lod_pe", "lod_edge"}
+    write_bench(outdir, "wide_machine",
+                {"n_pes": WIDE_PES, "reps": WIDE_REPS, "views": views})
+    for view, row in views.items():
+        print(f"{WIDE_PES} PEs {view:>8}: median "
+              f"{row['render_ms']['median']:7.1f} ms  "
+              f"{row['svg_bytes'] / 1e6:5.2f} MB")
 
 
 def timed_lod_render(path):
@@ -149,16 +223,15 @@ def test_lod_render_is_flat_while_full_decode_is_linear(tmp_path, outdir):
         f"LOD render grew {flatness:.1f}x from {SIZES[0]:,} to "
         f"{SIZES[-1]:,} rows — not O(viewport)")
 
-    payload = {
+    write_bench(outdir, "trace_size", {
         "n_pes": N_PES,
         "view": "heatmap",
         "speedup_bar": SPEEDUP_BAR,
         "flatness_bar": FLATNESS_BAR,
         "lod_growth_250k_to_1m": flatness,
+        "reps": 1,
         "runs": results,
-    }
-    out = outdir / "BENCH_viz_lod.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
+    })
     for row in results:
         print(f"rows={row['rows']:>9,}  lod={row['t_lod_s'] * 1e3:8.2f} ms  "
               f"decode={row['t_full_decode_s'] * 1e3:8.2f} ms  "

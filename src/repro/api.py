@@ -162,8 +162,9 @@ class Run:
     def viz(self, view: str = "gantt", *, t0: int | None = None,
             t1: int | None = None, res: int | None = None) -> str:
         """Render one LOD-backed SVG view (``gantt``/``heatmap``/
-        ``timeline``) for a viewport — O(res) work, never touching raw
-        event columns when the archive carries a pyramid."""
+        ``timeline``) for a viewport — O(res) work per PE (O(n_pes²)
+        cells for the heatmap), never touching raw event columns when
+        the archive carries a pyramid."""
         from repro.core.viz.lodviews import (
             lod_gantt_svg,
             lod_heatmap_svg,

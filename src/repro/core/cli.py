@@ -169,7 +169,11 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
     out = args.out or (args.trace_dir.parent if use_archive else args.trace_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot write output to {out}: {exc}", file=sys.stderr)
+        return 2
     emitted: list[Path] = []
 
     def say(text: str) -> None:
@@ -191,6 +195,9 @@ def main(argv: list[str] | None = None) -> int:
         return _render(args, archive, out, emitted, say)
     except (FileNotFoundError, ValueError) as exc:
         print(f"cannot read traces: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # e.g. a chart path taken by a directory
+        print(f"I/O error: {exc}", file=sys.stderr)
         return 2
     finally:
         if archive is not None:
@@ -1397,8 +1404,12 @@ def _viz_main(argv: list[str]) -> int:
         print(f"viz failed: {exc}", file=sys.stderr)
         return 2
     out = args.out or path.with_name(f"{run_id}_viz.html")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(page)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(page)
+    except OSError as exc:
+        print(f"viz failed: cannot write {out}: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {out} ({len(views)} view(s), horizon {horizon:,} cycles)")
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.analysis import heat_with_totals
-from repro.core.viz.palette import normalize, sequential
+from repro.core.viz.palette import normalize, sequential, sequential_fills
 from repro.core.viz.svg import Canvas
 
 _CELL = 22
@@ -39,7 +39,6 @@ def heatmap_svg(
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"square matrix required, got shape {matrix.shape}")
     n = matrix.shape[0]
-    full = heat_with_totals(matrix) if show_totals else matrix
     cells = n + (1 if show_totals else 0)
     grid_w = cells * (_CELL + _GAP)
     width = _MARGIN_LEFT + grid_w + _MARGIN_RIGHT
@@ -49,44 +48,36 @@ def heatmap_svg(
     cv.text(_MARGIN_LEFT + grid_w / 2, _MARGIN_TOP - 28, xlabel, size=11, anchor="middle")
     cv.text(18, _MARGIN_TOP + grid_w / 2, ylabel, size=11, anchor="middle", rotate=-90)
 
-    body_norm = normalize(matrix, log=log_scale)
-    totals_col = full[:n, n] if show_totals else None
-    totals_row = full[n, :n] if show_totals else None
-    col_norm = normalize(totals_col, log=log_scale) if show_totals else None
-    row_norm = normalize(totals_row, log=log_scale) if show_totals else None
-
     def cell_xy(row: int, col: int) -> tuple[float, float]:
         return (
             _MARGIN_LEFT + col * (_CELL + _GAP),
             _MARGIN_TOP + row * (_CELL + _GAP),
         )
 
+    # one batch per grid row; zero cells stay light grey
+    offsets = np.arange(n) * (_CELL + _GAP)
+    to_col = [f" → PE{col}: " for col in range(n)]
+    fills = np.where(matrix != 0,
+                     sequential_fills(normalize(matrix, log=log_scale)),
+                     "#f2f2f2")
     for row in range(n):
-        for col in range(n):
-            x, y = cell_xy(row, col)
-            v = int(matrix[row, col])
-            cv.rect(
-                x, y, _CELL, _CELL,
-                fill=sequential(body_norm[row, col]) if v else "#f2f2f2",
-                title=f"PE{row} → PE{col}: {v} sends",
-            )
+        _, y = cell_xy(row, 0)
+        cv.rects(_MARGIN_LEFT + offsets, y, _CELL, _CELL,
+                 fills=fills[row].tolist(),
+                 titles=[f"PE{row}{arrow}{v} sends"
+                         for arrow, v in zip(to_col, matrix[row].tolist())])
     if show_totals:
-        for row in range(n):
-            x, y = cell_xy(row, n)
-            cv.rect(
-                x + 4, y, _CELL, _CELL,
-                fill=sequential(col_norm[row]),
-                title=f"PE{row} total sends: {int(totals_col[row])}",
-            )
-        for col in range(n):
-            x, y = cell_xy(n, col)
-            cv.rect(
-                x, y + 4, _CELL, _CELL,
-                fill=sequential(row_norm[col]),
-                title=f"PE{col} total recvs: {int(totals_row[col])}",
-            )
-        xs, ys = cell_xy(n, n)
-        cv.text(xs + 4, ys + _CELL - 4, "Σ", size=12)
+        # totals are color-normalized on their own, zeros included
+        full = heat_with_totals(matrix)
+        sends, recvs = full[:n, n].tolist(), full[n, :n].tolist()
+        x, y = cell_xy(n, n)
+        cv.rects(x + 4, _MARGIN_TOP + offsets, _CELL, _CELL,
+                 fills=sequential_fills(normalize(sends, log=log_scale)).tolist(),
+                 titles=[f"PE{pe} total sends: {v}" for pe, v in enumerate(sends)])
+        cv.rects(_MARGIN_LEFT + offsets, y + 4, _CELL, _CELL,
+                 fills=sequential_fills(normalize(recvs, log=log_scale)).tolist(),
+                 titles=[f"PE{pe} total recvs: {v}" for pe, v in enumerate(recvs)])
+        cv.text(x + 4, y + _CELL - 4, "Σ", size=12)
 
     # axis tick labels (decimated if crowded)
     step = 1 if n <= 20 else max(1, n // 16)
@@ -103,8 +94,8 @@ def heatmap_svg(
 
     # color scale legend
     lx = _MARGIN_LEFT + grid_w + 24
-    for i in range(40):
-        cv.rect(lx, _MARGIN_TOP + (39 - i) * 3, 14, 3, fill=sequential(i / 39))
+    cv.rects(lx, _MARGIN_TOP + (39 - np.arange(40)) * 3, 14, 3,
+             fills=[sequential(i / 39) for i in range(40)])
     vmax = int(matrix.max())
     cv.text(lx + 20, _MARGIN_TOP + 8, f"{vmax}", size=9)
     cv.text(lx + 20, _MARGIN_TOP + 122, "0", size=9)

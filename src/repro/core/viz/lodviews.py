@@ -2,7 +2,11 @@
 
 These render from :mod:`repro.core.lod` aggregates only — never from
 raw event columns — so an SVG for a billion-send run costs the same as
-one for a thousand-send run: O(viewport resolution).
+one for a thousand-send run in sends and time: O(viewport resolution).
+The cost does grow with the machine: the gantt emits O(n_pes · res)
+rects and the heatmap O(n_pes²) cells, so both draw their cells in
+batches through :meth:`~repro.core.viz.svg.Canvas.rects` (one per
+gantt lane or heatmap row).
 
 * :func:`lod_gantt_svg` — per-PE lanes, each bucket a stacked
   MAIN/PROC/COMM segment proportional to occupancy.
@@ -19,6 +23,8 @@ from __future__ import annotations
 import html
 import json
 
+import numpy as np
+
 from repro.core.lod import EdgeWindow, PeSeries
 from repro.core.viz.heatmap import heatmap_svg
 from repro.core.viz.palette import REGION_COLORS
@@ -31,6 +37,7 @@ _MARGIN_TOP = 50
 _WIDTH = 900
 
 _REGIONS = ("MAIN", "PROC", "COMM")
+_COLORS = np.array([REGION_COLORS[r] for r in _REGIONS], dtype=object)
 
 
 def _axis(cv: Canvas, axis_y: float, plot_w: float, t0: int, t1: int) -> None:
@@ -65,26 +72,35 @@ def lod_gantt_svg(series: PeSeries, title: str = "LOD gantt") -> str:
     _legend(cv)
     plot_w = _WIDTH - _MARGIN_LEFT - 30
     cell_w = plot_w / nb
+    occ = series.occ
+    # segment geometry for every (pe, bucket, region): a region's width
+    # is its share of the bucket (capped at the whole cell), and it
+    # starts where the regions before it in the same cell end
+    seg_w = np.where(occ > 0, cell_w * np.minimum(occ / vp.width, 1.0), 0.0)
+    seg_x = np.empty_like(seg_w)
+    seg_x[..., 0] = _MARGIN_LEFT + np.arange(nb) * cell_w
+    seg_x[..., 1] = seg_x[..., 0] + seg_w[..., 0]
+    seg_x[..., 2] = seg_x[..., 1] + seg_w[..., 1]
+    cycles = {v: f"{v:,}" for v in np.unique(occ).tolist()}
     for pe in range(n_pes):
         y = _MARGIN_TOP + pe * (_LANE_H + _LANE_GAP)
         cv.rect(_MARGIN_LEFT, y, plot_w, _LANE_H, fill="#f0f0f0")
         cv.text(_MARGIN_LEFT - 6, y + _LANE_H - 5, f"PE{pe}", size=9,
                 anchor="end")
-        for b in range(nb):
-            main, proc, comm = (int(v) for v in series.occ[pe, b])
-            if not (main or proc or comm):
-                continue
-            x = _MARGIN_LEFT + b * cell_w
-            tip = (f"PE{pe} bucket {vp.b0 + b}: "
-                   f"MAIN {main:,} / PROC {proc:,} / COMM {comm:,}")
-            for value, region in ((main, "MAIN"), (proc, "PROC"),
-                                  (comm, "COMM")):
-                if value <= 0:
-                    continue
-                w = cell_w * min(value / vp.width, 1.0)
-                cv.rect(x, y, max(w, 0.4), _LANE_H,
-                        fill=REGION_COLORS[region], title=tip)
-                x += w
+        cells = np.flatnonzero(occ[pe].any(axis=1))
+        lane = occ[pe, cells]
+        drawn = lane > 0
+        tips = [f"PE{pe} bucket {b}: MAIN {cycles[main]} / "
+                f"PROC {cycles[proc]} / COMM {cycles[comm]}"
+                for b, (main, proc, comm)
+                in zip((cells + vp.b0).tolist(), lane.tolist())]
+        # region colors in MAIN/PROC/COMM order; a cell's tooltip on
+        # every segment it draws
+        cv.rects(seg_x[pe, cells][drawn], y,
+                 np.maximum(seg_w[pe, cells][drawn], 0.4), _LANE_H,
+                 fills=np.broadcast_to(_COLORS, drawn.shape)[drawn].tolist(),
+                 titles=np.repeat(np.array(tips, dtype=object),
+                                  drawn.sum(axis=1)).tolist())
     _axis(cv, _MARGIN_TOP + n_pes * (_LANE_H + _LANE_GAP) + 10,
           plot_w, vp.t0, vp.t1)
     return cv.to_string()

@@ -50,6 +50,15 @@ def sequential(t: float) -> str:
     return f"#{int(round(r)):02x}{int(round(g)):02x}{int(round(b)):02x}"
 
 
+def sequential_fills(t: np.ndarray) -> np.ndarray:
+    """:func:`sequential` over an array (object array of the same shape),
+    evaluated once per distinct value."""
+    t = np.asarray(t, dtype=float)
+    distinct, inverse = np.unique(t, return_inverse=True)
+    colors = np.array([sequential(v) for v in distinct.tolist()], dtype=object)
+    return colors[inverse.ravel()].reshape(t.shape)
+
+
 def normalize(values: np.ndarray, log: bool = False) -> np.ndarray:
     """Scale values to [0, 1] for color mapping (optionally log1p)."""
     values = np.asarray(values, dtype=float)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.timeline import TimelineTrace
-from repro.core.viz.palette import REGION_COLORS, normalize, sequential
+from repro.core.viz.palette import REGION_COLORS, normalize, sequential_fills
 from repro.core.viz.svg import Canvas
 
 _LANE_H = 18
@@ -92,13 +92,15 @@ def utilization_svg(timeline: TimelineTrace, buckets: int = 120,
     cv = Canvas(width, height)
     cv.text(width / 2, 26, title, size=15, anchor="middle", bold=True)
     norm = normalize(rows)
+    xs = _MARGIN_LEFT + np.arange(buckets) * cell_w
     for pe in range(n):
         y = _MARGIN_TOP + pe * (_LANE_H + 2)
         cv.text(_MARGIN_LEFT - 6, y + _LANE_H - 5, f"PE{pe}", size=9, anchor="end")
-        for b in range(buckets):
-            cv.rect(_MARGIN_LEFT + b * cell_w, y, cell_w, _LANE_H,
-                    fill=sequential(norm[pe, b]),
-                    title=f"PE{pe} bucket {b}: {rows[pe, b]:.0%} busy")
+        # one batch per lane
+        cv.rects(xs, y, cell_w, _LANE_H,
+                 fills=sequential_fills(norm[pe]).tolist(),
+                 titles=[f"PE{pe} bucket {b}: {u:.0%} busy"
+                         for b, u in enumerate(rows[pe].tolist())])
     cv.text(_MARGIN_LEFT, height - 14,
             f"bucket = {bucket_cycles:,} cycles; bright = busy (MAIN+PROC)",
             size=9, fill="#606060")

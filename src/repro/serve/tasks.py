@@ -42,7 +42,7 @@ def run_diff_task(out_dir: Path, *, archive_a: str, archive_b: str,
 def run_viz_task(out_dir: Path, *, archive: str, view: str,
                  t0: int | None = None, t1: int | None = None,
                  res: int | None = None) -> dict:
-    """Render one LOD viz view over a viewport; O(res) per call.
+    """Render one LOD viz view over a viewport; O(res) per PE per call.
 
     Returns the SVG text plus the snapped viewport actually rendered
     (level, bucket width, window) so clients can drive drill-down

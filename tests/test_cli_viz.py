@@ -2,6 +2,9 @@
 the LOD line in ``actorprof runs show``, and the normalized CLI flags
 (``--out`` everywhere)."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.cli import main
@@ -75,6 +78,36 @@ def test_viz_errors_exit_2(tmp_path, capsys):
     rc = main(["viz", str(tmp_path / "missing.aptrc")])
     assert rc == 2
     assert "viz failed" in capsys.readouterr().err
+
+
+def _unwritable_outputs(tmp_path):
+    """``--out`` targets that cannot be written: an existing directory
+    where a file goes, and paths under a regular file."""
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    (tmp_path / "charts" / "logical_heatmap.svg").mkdir(parents=True)
+    archive = str(GOLDEN_DIR / "histogram.aptrc")
+    return {
+        "viz-out-is-dir": ["viz", archive, "--out", str(tmp_path)],
+        "viz-out-under-file": ["viz", archive, "--out",
+                               str(blocker / "page.html")],
+        "render-out-under-file": [archive, "-l", "--quiet", "--out",
+                                  str(blocker / "charts")],
+        "render-chart-is-dir": [archive, "-l", "--quiet", "--out",
+                                str(tmp_path / "charts")],
+    }
+
+
+@pytest.mark.parametrize("case", ["viz-out-is-dir", "viz-out-under-file",
+                                  "render-out-under-file",
+                                  "render-chart-is-dir"])
+def test_unwritable_out_exits_2_without_traceback(tmp_path, case):
+    argv = _unwritable_outputs(tmp_path)[case]
+    r = subprocess.run([sys.executable, "-m", "repro.core.cli", *argv],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1, r.stderr
 
 
 # ----------------------------------------------------------------------

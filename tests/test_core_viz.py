@@ -34,6 +34,32 @@ def test_canvas_emits_valid_svg_skeleton():
     assert s.count("<rect") >= 2  # background + ours
 
 
+def test_rects_batch_equals_one_rect_per_row():
+    x = np.array([0.0, -0.0, 1.005, 2.675, 1e6, -0.004])
+    w = np.array([3.0, 3.0, 0.4, 0.399, 12.125, 7.0])
+    fills = ["#111111", "#222222", "#333333", "#444444", "#555555", "#666"]
+    titles = ['a < b & "c"', "", "two\nlines", "PE1 → PE2", "", "'q'"]
+    batch, single = Canvas(10, 10), Canvas(10, 10)
+    batch.rects(x, 7, w, np.full(6, 2.5), fills=fills, titles=titles)
+    batch.rects(x, x, 1, 1, fills=fills[::-1])  # scalars broadcast, no titles
+    for i in range(6):
+        single.rect(x[i], 7, w[i], 2.5, fill=fills[i], title=titles[i])
+    for i in range(6):
+        single.rect(x[i], x[i], 1, 1, fill=fills[5 - i])
+    assert batch.to_string() == single.to_string()
+
+
+def test_rects_empty_batch_draws_nothing_and_lengths_must_agree():
+    cv = Canvas(10, 10)
+    before = cv.to_string()
+    cv.rects(np.array([]), 0, 1, 1, fills=[], titles=[])
+    assert cv.to_string() == before
+    with pytest.raises(ValueError):
+        cv.rects(np.arange(3), 0, 1, 1, fills=["#000"] * 2)
+    with pytest.raises(ValueError):
+        cv.rects(1, 2, 3, 4, fills=["#000"] * 2, titles=["a"])
+
+
 def test_canvas_rejects_bad_size():
     with pytest.raises(ValueError):
         Canvas(0, 10)
